@@ -35,7 +35,7 @@ use eod_core::spec::JobSpec;
 use eod_telemetry::Counter;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -127,7 +127,9 @@ pub enum FleetOutcome {
 }
 
 /// Called exactly once per submitted job, with its full attempt history.
-/// Runs on coordinator threads; must not call back into the coordinator.
+/// Runs on coordinator threads with no coordinator lock held, so it may
+/// call back in ([`Coordinator::submit`], [`Coordinator::open_jobs`]…);
+/// outcomes of different jobs may arrive in any order.
 pub type CompletionSink = Box<dyn Fn(u64, FleetOutcome, &[Attempt]) + Send + Sync>;
 
 struct WorkerState {
@@ -179,6 +181,8 @@ struct Inner {
     /// signal for predictive placement. Bounded; cleared when it grows
     /// past [`RESIDENCY_CAP`] keys.
     residency: HashMap<String, HashSet<WorkerId>>,
+    /// Outcomes decided under the lock, awaiting [`Coordinator::deliver`].
+    finished: Vec<(u64, FleetOutcome, Vec<Attempt>)>,
     next_worker_id: u64,
     next_lease_id: u64,
 }
@@ -320,21 +324,20 @@ impl Coordinator {
         }
         self.stopping.store(true, Ordering::SeqCst);
         self.wake.notify_all();
-        {
-            let mut inner = self.inner.lock().unwrap();
-            let open: Vec<u64> = inner
-                .jobs
-                .iter()
-                .filter(|(_, j)| !j.done)
-                .map(|(id, _)| *id)
-                .collect();
-            for id in open {
-                self.finalize_failed(&mut inner, id, "fleet shut down before completion", false);
-            }
-            for w in inner.workers.values() {
-                w.wire.close();
-            }
+        let mut inner = self.inner.lock().unwrap();
+        let open: Vec<u64> = inner
+            .jobs
+            .iter()
+            .filter(|(_, j)| !j.done)
+            .map(|(id, _)| *id)
+            .collect();
+        for id in open {
+            self.finalize_failed(&mut inner, id, "fleet shut down before completion", false);
         }
+        for w in inner.workers.values() {
+            w.wire.close();
+        }
+        self.deliver(inner);
         let handles: Vec<_> = self.threads.lock().unwrap().drain(..).collect();
         for h in handles {
             let _ = h.join();
@@ -351,6 +354,13 @@ impl Coordinator {
             }
             self.tick(&mut inner);
             self.dispatch(&mut inner);
+            if !inner.finished.is_empty() {
+                self.deliver(inner);
+                // Anything that notified `wake` while the lock was down
+                // is picked up by running the pass again before waiting.
+                inner = self.inner.lock().unwrap();
+                continue;
+            }
             let (guard, _) = self
                 .wake
                 .wait_timeout(inner, self.config.monitor_tick)
@@ -636,6 +646,7 @@ impl Coordinator {
                 Err(WireError::Closed) | Err(WireError::Io(_)) => {
                     let mut inner = self.inner.lock().unwrap();
                     self.worker_lost(&mut inner, wid, "connection lost");
+                    self.deliver(inner);
                     return;
                 }
             }
@@ -689,6 +700,7 @@ impl Coordinator {
     /// should exit.
     fn handle_worker_msg(&self, wid: WorkerId, msg: WorkerMsg) -> bool {
         let mut inner = self.inner.lock().unwrap();
+        let said_bye = matches!(msg, WorkerMsg::Bye {});
         match msg {
             WorkerMsg::Register { .. } => {
                 // Re-registration on a live connection is a protocol error.
@@ -709,7 +721,6 @@ impl Coordinator {
             }
             WorkerMsg::Completed { lease, job, group } => {
                 self.on_completed(&mut inner, wid, lease, job, group);
-                self.wake.notify_all();
             }
             WorkerMsg::Failed {
                 lease,
@@ -718,22 +729,35 @@ impl Coordinator {
                 timed_out,
             } => {
                 self.on_failed(&mut inner, wid, lease, job, error, timed_out);
-                self.wake.notify_all();
             }
             WorkerMsg::Reject { lease, job, reason } => {
                 self.on_reject(&mut inner, wid, lease, job, reason);
-                self.wake.notify_all();
             }
             WorkerMsg::Released { lease, job } => {
                 self.on_released(&mut inner, wid, lease, job);
-                self.wake.notify_all();
             }
-            WorkerMsg::Bye {} => {
-                self.worker_departed(&mut inner, wid);
-                return true;
-            }
+            WorkerMsg::Bye {} => self.worker_departed(&mut inner, wid),
         }
-        false
+        self.deliver(inner);
+        said_bye
+    }
+
+    /// Release the lock, wake the engine, then hand every outcome decided
+    /// under the lock to the sink. The sink decodes results and wakes
+    /// clients; run under the lock it would stall every heartbeat, grant
+    /// and other completion, and could not call back into the coordinator.
+    /// Taking the batch under the lock is what keeps delivery exactly-once
+    /// per job. The engine is woken only once the guard is gone — woken
+    /// under it, it runs straight into the mutex and sleeps again — and it
+    /// cannot miss the change: it holds the lock from each pass through to
+    /// its wait.
+    fn deliver(&self, mut inner: MutexGuard<'_, Inner>) {
+        let finished = std::mem::take(&mut inner.finished);
+        drop(inner);
+        self.wake.notify_all();
+        for (job, outcome, attempts) in finished {
+            (self.sink)(job, outcome, &attempts);
+        }
     }
 
     fn on_completed(
@@ -813,7 +837,9 @@ impl Coordinator {
                 inner.residency.clear();
             }
             inner.residency.entry(key).or_default().insert(wid);
-            (self.sink)(job_id, FleetOutcome::Done { group }, &attempts);
+            inner
+                .finished
+                .push((job_id, FleetOutcome::Done { group }, attempts));
         }
         self.gc_job(inner, job_id);
     }
@@ -1043,14 +1069,14 @@ impl Coordinator {
         }
         job.done = true;
         let attempts = job.attempts.clone();
-        (self.sink)(
+        inner.finished.push((
             job_id,
             FleetOutcome::Failed {
                 error: error.to_string(),
                 timed_out,
             },
-            &attempts,
-        );
+            attempts,
+        ));
         self.gc_job(inner, job_id);
     }
 

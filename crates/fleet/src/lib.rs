@@ -155,6 +155,42 @@ mod tests {
     }
 
     #[test]
+    fn sink_may_call_back_into_the_coordinator() {
+        // The sink runs with no coordinator lock held: it can query the
+        // coordinator and chain a follow-up job. Under the lock, the first
+        // `open_jobs()` would self-deadlock the reader thread.
+        let (tx, rx) = mpsc::channel();
+        let handle = Arc::new(std::sync::OnceLock::<std::sync::Weak<Coordinator>>::new());
+        let sink: CompletionSink = {
+            let handle = Arc::clone(&handle);
+            Box::new(move |job, outcome, _attempts| {
+                let coord = handle.get().and_then(|weak| weak.upgrade()).unwrap();
+                let open = coord.open_jobs();
+                if job == 1 {
+                    coord.submit(2, spec(2));
+                }
+                let _ = tx.send((job, outcome, open));
+            })
+        };
+        let coord = Coordinator::start(FleetConfig::fast(), sink);
+        handle.set(Arc::downgrade(&coord)).unwrap();
+        let executed = Arc::new(AtomicU64::new(0));
+        let (_k, h) = spawn_worker(
+            &coord,
+            Worker::with_executor(caps("w1", 1), instant_executor(executed)),
+        );
+        coord.submit(1, spec(1));
+        for expect in [1u64, 2] {
+            let (job, outcome, open) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(job, expect);
+            assert!(matches!(outcome, FleetOutcome::Done { .. }));
+            assert_eq!(open, 0, "a job is closed before its outcome is delivered");
+        }
+        coord.shutdown(Duration::from_secs(2));
+        assert_eq!(h.join().unwrap(), WorkerExit::Drained);
+    }
+
+    #[test]
     fn device_filter_routes_jobs_to_capable_worker() {
         let (sink, rx) = channel_sink();
         let coord = Coordinator::start(FleetConfig::fast(), sink);

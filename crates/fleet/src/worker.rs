@@ -1,6 +1,6 @@
-//! The fleet worker: registers capabilities, executes granted jobs in
-//! slot threads, heartbeats to renew its leases, and honours revocation
-//! and drain.
+//! The fleet worker: registers capabilities, executes granted jobs on a
+//! fixed pool of slot threads, heartbeats to renew its leases, and honours
+//! revocation and drain.
 //!
 //! A worker is transport-agnostic: hand [`Worker::run`] any [`Wire`] — a
 //! [`crate::wire::TcpWire`] in production, a [`crate::wire::LocalWire`]
@@ -15,7 +15,7 @@ use eod_core::fleet::{WorkerCapabilities, FLEET_PROTO_VERSION};
 use eod_core::spec::JobSpec;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Why a job's execution failed, as the worker reports it.
@@ -39,6 +39,13 @@ pub enum WorkerExit {
     Killed,
     /// The coordinator connection dropped.
     Disconnected,
+}
+
+/// An admitted grant on its way to a slot thread.
+struct Granted {
+    lease: u64,
+    job: u64,
+    spec: JobSpec,
 }
 
 struct SlotState {
@@ -124,6 +131,9 @@ impl Worker {
             revoked: HashSet::new(),
             draining: false,
         }));
+        // Dropped when `run` returns: idle slot threads see the hang-up
+        // and exit, busy ones after the job they are executing.
+        let slots = self.spawn_slots(&wire, &state)?;
         let mut next_heartbeat = Instant::now() + heartbeat_every;
         let tick = heartbeat_every.min(Duration::from_millis(25));
         loop {
@@ -160,7 +170,7 @@ impl Worker {
             };
             match msg {
                 CoordMsg::Grant { lease, job, spec } => {
-                    self.on_grant(&wire, &state, lease, job, spec);
+                    self.on_grant(&wire, &state, &slots, Granted { lease, job, spec });
                 }
                 CoordMsg::Revoke { lease, .. } => {
                     // If the lease is still executing, mark it: the slot
@@ -180,66 +190,90 @@ impl Worker {
         }
     }
 
-    fn on_grant(
+    /// Start `caps.slots` slot threads sharing one grant channel. They are
+    /// never joined — `run` must return at once on kill or disconnect even
+    /// while an executor is mid-job — so each reports its own result and
+    /// unregisters its lease itself.
+    fn spawn_slots(
         &self,
         wire: &Arc<dyn Wire>,
         state: &Arc<Mutex<SlotState>>,
-        lease: u64,
-        job: u64,
-        spec: JobSpec,
+    ) -> Result<mpsc::Sender<Granted>, WireError> {
+        let (tx, rx) = mpsc::channel::<Granted>();
+        let rx = Arc::new(Mutex::new(rx));
+        for slot in 0..self.caps.slots {
+            let rx = Arc::clone(&rx);
+            let executor = Arc::clone(&self.executor);
+            let wire = Arc::clone(wire);
+            let state = Arc::clone(state);
+            let killed = Arc::clone(&self.killed);
+            std::thread::Builder::new()
+                .name(format!("fleet-slot-{slot}"))
+                .spawn(move || loop {
+                    // The guard is a temporary: it is released before the
+                    // job executes, so the other slots can take grants.
+                    let next = rx.lock().expect("slot receiver poisoned").recv();
+                    let Ok(Granted { lease, job, spec }) = next else {
+                        return; // `run` returned
+                    };
+                    let outcome = executor(&spec);
+                    let mut s = state.lock().unwrap();
+                    s.active.remove(&lease);
+                    let was_revoked = s.revoked.remove(&lease);
+                    drop(s);
+                    if killed.load(Ordering::SeqCst) {
+                        continue; // crash simulation: say nothing
+                    }
+                    let msg = if was_revoked {
+                        WorkerMsg::Released { lease, job }
+                    } else {
+                        match outcome {
+                            Ok(group) => WorkerMsg::Completed { lease, job, group },
+                            Err(f) => WorkerMsg::Failed {
+                                lease,
+                                job,
+                                error: f.error,
+                                timed_out: f.timed_out,
+                            },
+                        }
+                    };
+                    let _ = wire.send_line(&encode(&msg));
+                })
+                .map_err(|e| WireError::Io(format!("spawn slot thread: {e}")))?;
+        }
+        Ok(tx)
+    }
+
+    fn on_grant(
+        &self,
+        wire: &Arc<dyn Wire>,
+        state: &Mutex<SlotState>,
+        slots: &mpsc::Sender<Granted>,
+        grant: Granted,
     ) {
+        let reject = |reason: &str| {
+            let _ = wire.send_line(&encode(&WorkerMsg::Reject {
+                lease: grant.lease,
+                job: grant.job,
+                reason: reason.into(),
+            }));
+        };
         {
             let mut s = state.lock().unwrap();
             if s.draining {
-                let _ = wire.send_line(&encode(&WorkerMsg::Reject {
-                    lease,
-                    job,
-                    reason: "draining".into(),
-                }));
-                return;
+                return reject("draining");
             }
             if s.active.len() >= self.caps.slots as usize {
-                let _ = wire.send_line(&encode(&WorkerMsg::Reject {
-                    lease,
-                    job,
-                    reason: "no free slot".into(),
-                }));
-                return;
+                return reject("no free slot");
             }
-            s.active.insert(lease, job);
+            s.active.insert(grant.lease, grant.job);
         }
-        let executor = Arc::clone(&self.executor);
-        let wire = Arc::clone(wire);
-        let state = Arc::clone(state);
-        let killed = Arc::clone(&self.killed);
-        // One thread per slot execution; the worker never joins these —
-        // they report their own result and unregister themselves.
-        let _ = std::thread::Builder::new()
-            .name(format!("fleet-slot-{lease}"))
-            .spawn(move || {
-                let outcome = executor(&spec);
-                let mut s = state.lock().unwrap();
-                s.active.remove(&lease);
-                let was_revoked = s.revoked.remove(&lease);
-                drop(s);
-                if killed.load(Ordering::SeqCst) {
-                    return; // crash simulation: say nothing
-                }
-                let msg = if was_revoked {
-                    WorkerMsg::Released { lease, job }
-                } else {
-                    match outcome {
-                        Ok(group) => WorkerMsg::Completed { lease, job, group },
-                        Err(f) => WorkerMsg::Failed {
-                            lease,
-                            job,
-                            error: f.error,
-                            timed_out: f.timed_out,
-                        },
-                    }
-                };
-                let _ = wire.send_line(&encode(&msg));
-            });
+        // `active` admits at most `slots` grants, so one never waits
+        // behind an executing job — at most behind a slot still sending
+        // the previous result.
+        slots
+            .send(grant)
+            .expect("slot threads outlive the grant sender");
     }
 }
 

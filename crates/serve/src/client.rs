@@ -6,12 +6,12 @@
 //! exponential backoff and jitter; [`Client::connect_once`] keeps the old
 //! fail-fast behavior for callers probing liveness.
 
-use crate::protocol::{codes, decode, encode, JobInfo, Request, Response};
+use crate::protocol::{codes, decode, encode, write_line, JobInfo, Request, Response};
 use eod_core::fleet::Attempt;
 use eod_core::predict::PredictionSet;
 use eod_core::spec::{JobSpec, Priority};
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -163,46 +163,38 @@ impl Client {
     /// Connect under an explicit retry policy.
     pub fn connect_with(addr: &str, policy: ConnectPolicy) -> Result<Self, ClientError> {
         let attempts = policy.attempts.max(1);
-        let mut last = None;
-        for n in 0..attempts {
-            match TcpStream::connect(addr) {
-                Ok(out) => {
-                    let reader = BufReader::new(
-                        out.try_clone()
-                            .map_err(|e| ClientError::Transport(e.to_string()))?,
-                    );
-                    return Ok(Self { out, reader });
-                }
-                Err(e) => {
-                    let transient = matches!(
-                        e.kind(),
-                        std::io::ErrorKind::ConnectionRefused | std::io::ErrorKind::ConnectionReset
-                    );
-                    let tried = n + 1;
-                    if !transient || tried == attempts {
-                        return Err(ClientError::Transport(format!(
-                            "connect {addr}: {e} (after {tried} attempt{})",
-                            if tried == 1 { "" } else { "s" }
-                        )));
-                    }
-                    last = Some(e);
-                    std::thread::sleep(policy.delay_after(n));
-                }
+        let mut tried = 0;
+        let out = loop {
+            let e = match TcpStream::connect(addr) {
+                Ok(out) => break out,
+                Err(e) => e,
+            };
+            tried += 1;
+            let transient = matches!(
+                e.kind(),
+                std::io::ErrorKind::ConnectionRefused | std::io::ErrorKind::ConnectionReset
+            );
+            if !transient || tried == attempts {
+                return Err(ClientError::Transport(format!(
+                    "connect {addr}: {e} (after {tried} attempt{})",
+                    if tried == 1 { "" } else { "s" }
+                )));
             }
-        }
-        // Unreachable: the loop always returns; keep the compiler honest.
-        Err(ClientError::Transport(format!(
-            "connect {addr}: {}",
-            last.map_or_else(|| "no attempts".to_string(), |e| e.to_string())
-        )))
+            std::thread::sleep(policy.delay_after(tried - 1));
+        };
+        // Request/response traffic: a reply is always awaited before the
+        // next send, so there is nothing for Nagle to coalesce.
+        out.set_nodelay(true)
+            .map_err(|e| ClientError::Transport(e.to_string()))?;
+        let reader = BufReader::new(
+            out.try_clone()
+                .map_err(|e| ClientError::Transport(e.to_string()))?,
+        );
+        Ok(Self { out, reader })
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        self.out
-            .write_all(encode(req).as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
-            .and_then(|()| self.out.flush())
-            .map_err(|e| ClientError::Transport(e.to_string()))
+        write_line(&mut self.out, encode(req)).map_err(|e| ClientError::Transport(e.to_string()))
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {

@@ -284,6 +284,17 @@ pub fn encode<T: Serialize>(msg: &T) -> String {
     serde_json::to_string(msg).expect("protocol types always serialize")
 }
 
+/// Write `line` plus its `'\n'` terminator with a single `write_all`.
+///
+/// Every blocking socket that speaks the protocol sends through this: a
+/// line split over two writes (body, then terminator) is write-write-read,
+/// and Nagle holds the 1-byte second segment until the peer's delayed ACK
+/// (~40 ms) releases it.
+pub fn write_line(w: &mut impl std::io::Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())
+}
+
 /// Parse one protocol line.
 pub fn decode<T: Deserialize>(line: &str) -> Result<T, String> {
     serde_json::from_str::<T>(line.trim()).map_err(|e| e.to_string())
@@ -445,6 +456,27 @@ mod tests {
             let back: Response = decode(&encode(&resp)).unwrap();
             assert_eq!(back, resp);
         }
+    }
+
+    /// Guards against write-write-read under Nagle + delayed ACK: the
+    /// line and its terminator must reach the socket in one `write`, or
+    /// every blocking-client request stalls ~40 ms on the peer's ACK.
+    #[test]
+    fn write_line_issues_exactly_one_write_with_the_terminator() {
+        struct Counting(Vec<Vec<u8>>);
+        impl std::io::Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let line = encode(&Request::Status { job: Some(3) });
+        let mut w = Counting(Vec::new());
+        write_line(&mut w, line.clone()).unwrap();
+        assert_eq!(w.0, vec![format!("{line}\n").into_bytes()]);
     }
 
     #[test]

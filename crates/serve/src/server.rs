@@ -15,9 +15,9 @@
 //! accept loop waits for every connection thread to flush and exit before
 //! returning, bounded by a drain deadline.
 
-use crate::protocol::{codes, decode, encode, JobInfo, Request, Response};
+use crate::protocol::{codes, decode, encode, write_line, JobInfo, Request, Response};
 use crate::service::Service;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -114,9 +114,7 @@ impl Server {
 }
 
 fn send(out: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    out.write_all(encode(resp).as_bytes())?;
-    out.write_all(b"\n")?;
-    out.flush()
+    write_line(out, encode(resp))
 }
 
 fn handle_connection(
@@ -129,6 +127,9 @@ fn handle_connection(
     // between requests, so shutdown drains connections instead of
     // abandoning threads mid-write.
     stream.set_read_timeout(Some(READ_TICK))?;
+    // Responses are single small lines the peer is blocked on; never let
+    // Nagle hold one behind an unacknowledged predecessor.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     let mut buf: Vec<u8> = Vec::new();

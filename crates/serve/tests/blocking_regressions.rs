@@ -6,7 +6,7 @@
 use eod_core::sizes::ProblemSize;
 use eod_core::spec::{ExecConfig, JobSpec, Priority, NATIVE_DEVICE};
 use eod_harness::RunnerConfig;
-use eod_serve::protocol::{codes, decode, encode, Request, Response};
+use eod_serve::protocol::{codes, decode, encode, write_line, Request, Response};
 use eod_serve::{ServeConfig, Server, Service};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -60,8 +60,7 @@ fn bad_lines_yield_typed_errors_and_the_connection_keeps_serving() {
     out.write_all(b"definitely not json\n").unwrap();
     out.write_all(b"{\"Frobnicate\":{\"x\":1}}\n").unwrap();
     out.write_all(b"{\"Stats\"\xff\xfe:null}\n").unwrap();
-    out.write_all(encode(&Request::Stats).as_bytes()).unwrap();
-    out.write_all(b"\n").unwrap();
+    write_line(&mut out, encode(&Request::Stats)).unwrap();
 
     for bad in 0..3 {
         let resp = read_response(&mut reader).expect("error response");
@@ -78,9 +77,7 @@ fn bad_lines_yield_typed_errors_and_the_connection_keeps_serving() {
 
     // Clean shutdown via a second connection.
     let (mut out2, mut reader2) = connect(addr);
-    out2.write_all(encode(&Request::Shutdown).as_bytes())
-        .unwrap();
-    out2.write_all(b"\n").unwrap();
+    write_line(&mut out2, encode(&Request::Shutdown)).unwrap();
     assert!(matches!(read_response(&mut reader2), Some(Response::Bye)));
     handle.join().unwrap();
 }
@@ -107,26 +104,21 @@ fn shutdown_drains_inflight_waiters_and_flushes_their_results() {
         },
     };
     let (mut a_out, mut a_reader) = connect(addr);
-    a_out
-        .write_all(
-            encode(&Request::Submit {
-                spec: slow,
-                priority: Priority::Normal,
-                wait: true,
-            })
-            .as_bytes(),
-        )
-        .unwrap();
-    a_out.write_all(b"\n").unwrap();
+    write_line(
+        &mut a_out,
+        encode(&Request::Submit {
+            spec: slow,
+            priority: Priority::Normal,
+            wait: true,
+        }),
+    )
+    .unwrap();
     let resp = read_response(&mut a_reader).expect("accepted");
     assert!(matches!(resp, Response::Accepted { .. }), "{resp:?}");
 
     // Client B: shutdown while A's job is still in flight.
     let (mut b_out, mut b_reader) = connect(addr);
-    b_out
-        .write_all(encode(&Request::Shutdown).as_bytes())
-        .unwrap();
-    b_out.write_all(b"\n").unwrap();
+    write_line(&mut b_out, encode(&Request::Shutdown)).unwrap();
     assert!(matches!(read_response(&mut b_reader), Some(Response::Bye)));
 
     // A's connection must stay open until the job finishes, stream its

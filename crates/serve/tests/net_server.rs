@@ -11,9 +11,11 @@ use eod_core::sizes::ProblemSize;
 use eod_core::spec::{ExecConfig, JobSpec, Priority, NATIVE_DEVICE};
 use eod_harness::RunnerConfig;
 use eod_net::NetConfig;
-use eod_serve::protocol::{codes, decode_response, encode, Request, RequestFrame, Response};
+use eod_serve::protocol::{
+    codes, decode_response, encode, write_line, Request, RequestFrame, Response,
+};
 use eod_serve::{NetServer, ServeConfig, Server, Service};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,8 +83,7 @@ impl Pipe {
     }
 
     fn send_raw(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write newline");
+        write_line(&mut self.writer, line.to_string()).expect("write");
     }
 
     fn send(&mut self, id: u64, req: Request) {
@@ -491,6 +492,47 @@ fn figure_batches_are_byte_identical_across_transports_and_shard_counts() {
     let mut c = eod_serve::Client::connect(&blocking_addr.to_string()).unwrap();
     c.shutdown().unwrap();
     blocking_thread.join().unwrap();
+}
+
+/// Guards against write-write-read under Nagle + delayed ACK: a blocking
+/// `Client` request split over two writes (line, then `\n`), or a blocking
+/// `Server` response sent the same way on a socket without `TCP_NODELAY`,
+/// waits ~40 ms on the peer's delayed ACK — 50 idle round trips took
+/// ≈ 2.2 s on either transport. They must stay well under that.
+#[test]
+fn blocking_client_round_trips_do_not_stall_on_either_transport() {
+    let rtt_50 = |addr: String| {
+        let mut c = eod_serve::Client::connect(&addr).unwrap();
+        c.stats().unwrap(); // connection set-up is not what is timed
+        let start = Instant::now();
+        for _ in 0..50 {
+            c.stats().unwrap();
+        }
+        (start.elapsed(), c)
+    };
+
+    let (_service, net) = start_net(smoke_serve(1, 8, 8));
+    let (reactor, _) = rtt_50(net.local_addr().to_string());
+    net.shutdown();
+    net.wait().expect("reactor exits cleanly");
+    assert!(
+        reactor < Duration::from_millis(500),
+        "50 round trips against the reactor took {reactor:?}"
+    );
+
+    let service = Service::start(smoke_serve(1, 8, 8));
+    let server = Server::bind(service, "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let thread = std::thread::spawn(move || {
+        let _ = server.run();
+    });
+    let (blocking, mut c) = rtt_50(addr);
+    c.shutdown().unwrap();
+    thread.join().unwrap();
+    assert!(
+        blocking < Duration::from_millis(500),
+        "50 round trips against the blocking server took {blocking:?}"
+    );
 }
 
 /// The accept-sharding satellite: at a few hundred connections the

@@ -235,7 +235,14 @@ fn queue_overflow_is_a_typed_refusal() {
         let mut s = spec("crc", ProblemSize::Tiny, "native", &slow);
         s.config.seed = 1000 + i; // distinct specs so the cache cannot answer
         match client.submit(&s, Priority::Normal) {
-            Ok((_, _, state, _)) => assert!(state == "queued" || state == "running"),
+            Ok((job, _, state, _)) => {
+                assert!(state == "queued" || state == "running");
+                // The worker must have taken the first job off the queue
+                // before the second arrives, or the second is the refusal.
+                while i == 0 && client.status(job).unwrap().state == "queued" {
+                    std::thread::yield_now();
+                }
+            }
             Err(ClientError::QueueFull(msg)) => {
                 refusals += 1;
                 assert!(msg.contains("queue full"), "{msg}");
