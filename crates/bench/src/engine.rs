@@ -40,6 +40,9 @@ pub struct EngineMetric {
 /// A full `bench-engine` run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineReport {
+    /// `available_parallelism` of the measuring host: rates from hosts
+    /// with different core counts are not comparable.
+    pub host_parallelism: usize,
     /// All metrics, in execution order.
     pub metrics: Vec<EngineMetric>,
 }
@@ -273,24 +276,27 @@ fn measure_every(budget: Duration, mut f: impl FnMut()) -> (u64, f64) {
     (iters, start.elapsed().as_secs_f64())
 }
 
-/// Full-catalog cache sweep rate for an 8 MiB streaming workload — the
-/// §4.4-style multi-device evaluation that dominates `verify-cache` and
-/// figure cache analysis.
+/// Full-catalog cache sweep rate for an 8 MiB workload of the given
+/// access pattern — the §4.4-style multi-device evaluation that dominates
+/// `verify-cache` and figure cache analysis. `Streaming` has a 3-entry
+/// reuse histogram, `Gather` a ≈ 90 k-entry one: the irregular case is
+/// where a per-device derivation is expensive.
 ///
 /// Both engines run the same serial per-device loop, so the ratio
 /// isolates the algorithm: the exact path re-simulates the two-pass
 /// trace per device, the stack-distance path analyzes the trace once and
 /// derives each device's counts from the histogram. `fresh` empties the
 /// memo cache every sweep (the honest cold-sweep cost, analysis
-/// included); without it the memoized steady state is measured.
+/// included); without it the memoized steady state — one lookup per
+/// device — is measured.
 fn cachesim_sweep_metric(
     name: &str,
     engine: eod_devsim::stackdist::CacheEngine,
+    pattern: eod_devsim::profile::AccessPattern,
     fresh: bool,
     budget: Duration,
 ) -> EngineMetric {
     use eod_devsim::catalog::CATALOG;
-    use eod_devsim::profile::AccessPattern;
     use eod_devsim::stackdist::{
         two_pass_counts, HierarchyShape, HistogramCache, DEFAULT_TRACE_CAP,
     };
@@ -302,14 +308,7 @@ fn cachesim_sweep_metric(
             cache.clear();
         }
         for shape in &shapes {
-            let counts = two_pass_counts(
-                engine,
-                AccessPattern::Streaming,
-                ws,
-                DEFAULT_TRACE_CAP,
-                shape,
-                &cache,
-            );
+            let counts = two_pass_counts(engine, pattern, ws, DEFAULT_TRACE_CAP, shape, &cache);
             std::hint::black_box(counts.total.accesses);
         }
     });
@@ -468,28 +467,43 @@ pub fn run(full: bool) -> EngineReport {
         metrics.push(w);
         metrics.push(r);
     }
-    use eod_devsim::stackdist::CacheEngine;
-    metrics.push(cachesim_sweep_metric(
-        "cachesim_sweep_exact_8mib",
-        CacheEngine::Exact,
-        true,
-        budget,
-    ));
-    metrics.push(cachesim_sweep_metric(
-        "cachesim_sweep_stackdist_8mib",
-        CacheEngine::StackDistance,
-        true,
-        budget,
-    ));
-    metrics.push(cachesim_sweep_metric(
-        "cachesim_sweep_stackdist_memoized_8mib",
-        CacheEngine::StackDistance,
-        false,
-        budget,
-    ));
+    use eod_devsim::profile::AccessPattern::{Gather, Streaming};
+    use eod_devsim::stackdist::CacheEngine::{Exact, StackDistance};
+    for (name, engine, pattern, fresh) in [
+        ("cachesim_sweep_exact_8mib", Exact, Streaming, true),
+        (
+            "cachesim_sweep_stackdist_8mib",
+            StackDistance,
+            Streaming,
+            true,
+        ),
+        (
+            "cachesim_sweep_stackdist_memoized_8mib",
+            StackDistance,
+            Streaming,
+            false,
+        ),
+        (
+            "cachesim_sweep_stackdist_gather_8mib",
+            StackDistance,
+            Gather,
+            true,
+        ),
+        (
+            "cachesim_sweep_stackdist_memoized_gather_8mib",
+            StackDistance,
+            Gather,
+            false,
+        ),
+    ] {
+        metrics.push(cachesim_sweep_metric(name, engine, pattern, fresh, budget));
+    }
     metrics.push(predict_warm_metric(budget));
     metrics.extend(kernel_path_metrics(budget));
-    EngineReport { metrics }
+    EngineReport {
+        host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        metrics,
+    }
 }
 
 /// Render a markdown table of the report.
@@ -547,18 +561,23 @@ mod tests {
         }
     }
 
+    fn report(metrics: Vec<EngineMetric>) -> EngineReport {
+        EngineReport {
+            host_parallelism: 1,
+            metrics,
+        }
+    }
+
     #[test]
     fn regression_check_trips_only_past_threshold() {
-        let baseline = EngineReport {
-            metrics: vec![fake("a", 1000.0), fake("b", 1000.0), fake("gone", 5.0)],
-        };
-        let ok = EngineReport {
-            metrics: vec![fake("a", 600.0), fake("b", 2000.0), fake("new", 1.0)],
-        };
+        let baseline = report(vec![
+            fake("a", 1000.0),
+            fake("b", 1000.0),
+            fake("gone", 5.0),
+        ]);
+        let ok = report(vec![fake("a", 600.0), fake("b", 2000.0), fake("new", 1.0)]);
         assert!(check_regression(&ok, &baseline, 2.0).is_ok());
-        let bad = EngineReport {
-            metrics: vec![fake("a", 400.0), fake("b", 2000.0)],
-        };
+        let bad = report(vec![fake("a", 400.0), fake("b", 2000.0)]);
         let err = check_regression(&bad, &baseline, 2.0).unwrap_err();
         assert!(err.contains("a:"), "{err}");
         assert!(!err.contains("b:"), "{err}");
@@ -566,9 +585,7 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_json() {
-        let r = EngineReport {
-            metrics: vec![fake("x", 123.0)],
-        };
+        let r = report(vec![fake("x", 123.0)]);
         let json = serde_json::to_string_pretty(&r).unwrap();
         let back: EngineReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.metrics.len(), 1);
@@ -592,6 +609,8 @@ mod tests {
             "cachesim_sweep_exact_8mib",
             "cachesim_sweep_stackdist_8mib",
             "cachesim_sweep_stackdist_memoized_8mib",
+            "cachesim_sweep_stackdist_gather_8mib",
+            "cachesim_sweep_stackdist_memoized_gather_8mib",
             "predict_warm",
             "items_kmeans_scalar",
             "items_kmeans_vectorized",

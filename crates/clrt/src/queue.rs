@@ -310,7 +310,9 @@ impl CommandQueue {
                 if !self.replay() {
                     self.launch(kernel, range);
                 }
-                // Modeled time for the event.
+                // Modeled time for the event. Replayed launches synthesize
+                // counters too (events keep `counters: Some(..)`); it is a
+                // memo lookup per launch, not a derivation.
                 let cost = sim.noisy_cost(&profile);
                 let counters = sim.counters(&profile, &cost);
                 let (start, end) = self.advance_clock(cost.total_s);

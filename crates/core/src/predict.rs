@@ -8,13 +8,13 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Where the cache-behaviour profile behind a prediction came from — the
-/// memoization state of the stack-distance histogram cache at query time.
+/// Where the cache-behaviour profile behind a prediction came from, as
+/// the cache engine reported it for that query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProfileProvenance {
     /// The reuse-distance analysis was computed fresh for this query.
     Computed,
-    /// The analysis was answered from the memoized histogram cache.
+    /// A memoized analysis, or counts derived from one earlier, answered.
     Memoized,
     /// No histogram was consulted: the trace was small enough for the
     /// exact cache simulator's memoized fast path.

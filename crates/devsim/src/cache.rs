@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity: usize,
@@ -162,7 +162,7 @@ impl CacheSim {
 }
 
 /// Geometry of a TLB: entry count × page size, fully associative LRU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TlbConfig {
     /// Number of entries.
     pub entries: usize,

@@ -434,9 +434,12 @@ impl DeviceModel {
     /// trace for this profile is evaluated against the device's own
     /// hierarchy geometry ([`HierarchyShape::for_spec`]) by the selected
     /// [`CacheEngine`], and the steady-state per-line miss ratios are
-    /// scaled to the invocation's line traffic. The analysis is memoized
-    /// in [`HistogramCache::global`], so repeated invocations of the same
-    /// workload (samples, devices sharing a profile) pay nothing.
+    /// scaled to the invocation's line traffic. [`HistogramCache::global`]
+    /// memoizes the trace analysis by `(pattern, working set, trace cap)`
+    /// and the derived counts by `(engine, pattern, working set, trace cap,
+    /// shape)`: devices sharing a profile share one analysis, and repeated
+    /// invocations on one device (samples, replayed launches) are one map
+    /// lookup plus the scaling below.
     pub fn synthesize_counters_engine(
         &self,
         p: &KernelProfile,
@@ -795,6 +798,33 @@ mod tests {
         assert!(
             ipc_c > ipc_m,
             "compute-bound IPC {ipc_c} must exceed memory-bound {ipc_m}"
+        );
+    }
+
+    #[test]
+    fn warm_counter_synthesis_derives_nothing() {
+        // csr medium's SpMV launch: Φ = 14336 at 0.5 % density, gathers
+        // over an ≈ 8 MiB footprint — a ≈ 90 k-entry reuse histogram.
+        let (n, nnz) = (14336u64, 14336 * 14336 / 200);
+        let mut p = KernelProfile::new("csr::spmv");
+        p.flops = 2.0 * nnz as f64;
+        p.bytes_read = (nnz * 12 + (n + 1) * 4) as f64;
+        p.bytes_written = (n * 4) as f64;
+        p.working_set = nnz * 8 + (n + 1) * 4 + 2 * n * 4;
+        p.pattern = AccessPattern::Gather;
+        p.work_items = n;
+        let dev = device("GTX 1080");
+        let cost = dev.predict(&p);
+        let warm = dev.synthesize_counters_engine(&p, &cost, CacheEngine::StackDistance);
+        let before = crate::stackdist::derivations();
+        for _ in 0..1000 {
+            let c = dev.synthesize_counters_engine(&p, &cost, CacheEngine::StackDistance);
+            assert_eq!(c, warm);
+        }
+        assert_eq!(
+            crate::stackdist::derivations() - before,
+            0,
+            "a replayed launch must look its counts up, not derive them"
         );
     }
 }

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// streaming saturates DRAM, random access collapses to latency-bound
 /// pointer chasing, and GPUs additionally lose coalescing on irregular
 /// patterns while CPUs ride their prefetchers and deep caches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AccessPattern {
     /// Unit-stride sequential sweeps (srad, crc, fft data phases).
     Streaming,

@@ -43,19 +43,20 @@
 //!   which is exact for the deterministic sweep traces and a close fit
 //!   for the LCG-scrambled ones.
 //!
-//! On top of the analysis sit a [`HistogramCache`] (content-addressed
-//! memoization keyed by `(pattern, working set, trace cap)`, so a figure
-//! sweep computes each distinct workload's histogram once and reuses it
-//! across every device) and the [`CacheEngine`] switch that selects the
-//! exact simulator or the stack-distance engine at runtime.
+//! On top of the analysis sit a [`HistogramCache`] (memoization keyed by
+//! value: each distinct `(pattern, working set, trace cap)` is analysed
+//! once and reused across every device, and each `(engine, profile,
+//! shape)` answer is derived once and looked up afterwards) and the
+//! [`CacheEngine`] switch that selects the exact simulator or the
+//! stack-distance engine at runtime.
 
 use crate::cache::{CacheConfig, CacheHierarchy, HierarchyCounts, TlbConfig};
 use crate::catalog::DeviceSpec;
 use crate::profile::AccessPattern;
-use eod_telemetry::metrics::Counter;
-use std::collections::HashMap;
+use eod_telemetry::metrics::{Counter, Gauge, Registry};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Default trace-length cap (bytes of footprint actually swept): the same
 /// 64 MiB the §4.4 verification path has always used, preserving every
@@ -401,6 +402,11 @@ impl ReuseHistogram {
     pub fn entries(&self) -> &[(u64, u64)] {
         &self.entries
     }
+
+    /// Heap bytes held by the entries and their cumulative counts.
+    fn bytes(&self) -> usize {
+        self.entries.len() * size_of::<(u64, u64)>() + self.cum.len() * size_of::<u64>()
+    }
 }
 
 /// `ln Γ(x)` via the Lanczos approximation (g = 7, 9 terms); |err| < 1e-10
@@ -513,6 +519,22 @@ pub struct TraceAnalysis {
     pub page_warm: ReuseHistogram,
 }
 
+impl TraceAnalysis {
+    /// Heap bytes held by the four histograms — what the
+    /// [`HistogramCache`] budget counts.
+    pub(crate) fn histogram_bytes(&self) -> usize {
+        [
+            &self.line_cold,
+            &self.line_warm,
+            &self.page_cold,
+            &self.page_warm,
+        ]
+        .iter()
+        .map(|h| h.bytes())
+        .sum()
+    }
+}
+
 /// Stream the two-pass trace for `(pattern, working_set)` once through
 /// line- and page-granularity analyzers. No `Vec<u64>` is materialized.
 pub fn analyze_trace(pattern: AccessPattern, working_set: u64, cap_bytes: u64) -> TraceAnalysis {
@@ -547,7 +569,7 @@ pub fn analyze_trace(pattern: AccessPattern, working_set: u64, cap_bytes: u64) -
 /// The geometry of a device's cache hierarchy — the static shape behind a
 /// [`CacheHierarchy`], usable both to build the exact simulator and to
 /// evaluate a [`TraceAnalysis`] analytically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HierarchyShape {
     /// L1 data cache geometry.
     pub l1: CacheConfig,
@@ -574,19 +596,6 @@ impl HierarchyShape {
     /// Build the exact simulator for this shape.
     pub fn build(&self) -> CacheHierarchy {
         CacheHierarchy::new(self.l1, self.l2, self.l3, self.tlb)
-    }
-
-    /// Content hash of the geometry (for exact-result memoization).
-    fn key(&self) -> u64 {
-        let mut h = Fnv::new();
-        for c in [Some(self.l1), Some(self.l2), self.l3] {
-            match c {
-                Some(c) => h.update(&[c.capacity as u64, c.line_size as u64, c.ways as u64]),
-                None => h.update(&[u64::MAX]),
-            }
-        }
-        h.update(&[self.tlb.entries as u64, self.tlb.page_size as u64]);
-        h.finish()
     }
 }
 
@@ -641,8 +650,23 @@ fn derive_pass(
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `derive_counts` evaluations made by the current thread.
+    static DERIVATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// `derive_counts` evaluations the calling thread has made — the cost the
+/// counts memo exists to remove, counted rather than timed.
+#[cfg(test)]
+pub(crate) fn derivations() -> u64 {
+    DERIVATIONS.with(|n| n.get())
+}
+
 /// Derive both passes' cumulative counts from an analysis.
 pub fn derive_counts(analysis: &TraceAnalysis, shape: &HierarchyShape) -> TwoPassCounts {
+    #[cfg(test)]
+    DERIVATIONS.with(|n| n.set(n.get() + 1));
     let cold = derive_pass(&analysis.line_cold, &analysis.page_cold, shape);
     let warm = derive_pass(&analysis.line_warm, &analysis.page_warm, shape);
     let add = |a: u64, b: u64| a + b;
@@ -664,7 +688,7 @@ pub fn derive_counts(analysis: &TraceAnalysis, shape: &HierarchyShape) -> TwoPas
 // ---------------------------------------------------------------------------
 
 /// Which cache model produces hierarchy miss counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheEngine {
     /// Replay the trace through the set-associative LRU simulator —
     /// the oracle and ablation path.
@@ -718,57 +742,99 @@ pub fn set_default_engine(engine: CacheEngine) {
 // Memoization
 // ---------------------------------------------------------------------------
 
-/// FNV-1a accumulator over `u64` words.
-struct Fnv(u64);
+/// Byte budget for the histogram entries of memoized analyses. Irregular
+/// analyses are large (≈ 16.7 MiB for a ≥ 64 MiB `Random` working set), so
+/// a long-lived server fed footprint sweeps must not keep one per grid
+/// point forever; 256 MiB holds ≈ 15 worst-case analyses.
+pub const HISTOGRAM_BUDGET_BYTES: usize = 256 << 20;
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
+/// How [`two_pass_counts_traced`] produced its answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CountsSource {
+    /// The exact simulator ran (or its memoized result was returned): no
+    /// histogram was consulted.
+    Simulated,
+    /// The reuse-distance analysis was computed for this call.
+    Computed,
+    /// A memoized analysis, or counts derived from one earlier, answered.
+    Memoized,
+}
 
-    fn update(&mut self, words: &[u64]) {
-        for w in words {
-            for b in w.to_le_bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x100000001b3);
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+/// The pattern whose trace generator `pattern` uses. `Gather` and `Random`
+/// draw the identical [`PassKind::Random`] trace, so they share memo
+/// entries.
+fn trace_pattern(pattern: AccessPattern) -> AccessPattern {
+    match pattern {
+        AccessPattern::Gather => AccessPattern::Random,
+        p => p,
     }
 }
 
-fn profile_key(pattern: AccessPattern, working_set: u64, cap_bytes: u64) -> u64 {
-    let mut h = Fnv::new();
-    h.update(&[pattern as u64, working_set, cap_bytes]);
-    h.finish()
+/// `(trace pattern, working set, trace cap)` — identifies one trace.
+type ProfileKey = (AccessPattern, u64, u64);
+/// One trace evaluated by one engine against one hierarchy geometry.
+type CountsKey = (CacheEngine, AccessPattern, u64, u64, HierarchyShape);
+/// Inserted under the map lock, initialised outside it, so concurrent
+/// first callers of one profile run one analysis between them.
+type AnalysisCell = Arc<OnceLock<Arc<TraceAnalysis>>>;
+
+#[derive(Default)]
+struct Analyses {
+    cells: HashMap<ProfileKey, AnalysisCell>,
+    /// Keys in insertion order — the eviction order.
+    order: VecDeque<ProfileKey>,
+    /// Histogram bytes held by the initialised cells.
+    bytes: usize,
 }
 
-/// Content-addressed memo cache for trace analyses (and exact two-pass
-/// results), keyed by `(pattern, working set, trace cap)` — one histogram
-/// per distinct workload, shared across all device evaluations.
+/// Memo cache for trace analyses and for the two-pass counts either engine
+/// derives from a trace, keyed by value — `analyses` by `(pattern, working
+/// set, trace cap)`, `counts` by `(engine, pattern, working set, trace cap,
+/// shape)` — so one histogram serves every device and a repeated
+/// `(profile, shape)` query is a lookup. Keys are compared for equality: a
+/// digest standing in for identity would hand a colliding workload another
+/// workload's histogram.
+///
+/// `analyses` is bounded by [`HISTOGRAM_BUDGET_BYTES`], oldest evicted
+/// first; `counts` values are 96 bytes and are kept, so an evicted profile
+/// is re-analysed only when a *new* shape asks about it.
 ///
 /// Hit/miss counters are telemetry [`Counter`]s so the sweep paths (and
 /// the memo-cache tests) can observe reuse directly.
 pub struct HistogramCache {
-    analyses: Mutex<HashMap<u64, Arc<TraceAnalysis>>>,
-    exact: Mutex<HashMap<u64, TwoPassCounts>>,
-    /// Histogram-cache hits (an analysis was reused).
+    analyses: Mutex<Analyses>,
+    counts: Mutex<HashMap<CountsKey, TwoPassCounts>>,
+    registry: Registry,
+    /// Analysis lookups answered by an analysis another call produced.
     pub hits: Counter,
-    /// Histogram-cache misses (an analysis was computed).
+    /// Analyses computed (one per distinct profile while it stays cached).
     pub misses: Counter,
+    /// `eod_devsim_histogram_cache_bytes`: histogram bytes memoized.
+    pub bytes: Arc<Gauge>,
+    /// `eod_devsim_histogram_cache_entries`: analyses memoized.
+    pub entries: Arc<Gauge>,
 }
 
 impl HistogramCache {
     /// An empty cache with zeroed counters.
     pub fn new() -> Self {
+        let registry = Registry::new();
+        let bytes = registry.gauge(
+            "eod_devsim_histogram_cache_bytes",
+            "Bytes of reuse-distance histogram entries held by memoized trace analyses",
+        );
+        let entries = registry.gauge(
+            "eod_devsim_histogram_cache_entries",
+            "Trace analyses currently memoized",
+        );
         Self {
-            analyses: Mutex::new(HashMap::new()),
-            exact: Mutex::new(HashMap::new()),
+            analyses: Mutex::default(),
+            counts: Mutex::default(),
+            registry,
             hits: Counter::new(),
             misses: Counter::new(),
+            bytes,
+            entries,
         }
     }
 
@@ -779,30 +845,71 @@ impl HistogramCache {
         GLOBAL.get_or_init(HistogramCache::new)
     }
 
-    /// Fetch or compute the analysis for `(pattern, working_set, cap)`.
+    fn lock_analyses(&self) -> MutexGuard<'_, Analyses> {
+        self.analyses.lock().expect("analyses lock poisoned")
+    }
+
+    fn lock_counts(&self) -> MutexGuard<'_, HashMap<CountsKey, TwoPassCounts>> {
+        self.counts.lock().expect("counts lock poisoned")
+    }
+
+    fn publish(&self, a: &Analyses) {
+        self.bytes.set(a.bytes as f64);
+        self.entries.set(a.cells.len() as f64);
+    }
+
+    /// Fetch or compute the analysis for `(pattern, working_set, cap)`,
+    /// and say which happened ([`CountsSource::Computed`] or
+    /// [`CountsSource::Memoized`]).
     pub fn get_or_analyze(
         &self,
         pattern: AccessPattern,
         working_set: u64,
         cap_bytes: u64,
-    ) -> Arc<TraceAnalysis> {
-        let key = profile_key(pattern, working_set, cap_bytes);
-        if let Some(a) = self.analyses.lock().unwrap().get(&key) {
+    ) -> (Arc<TraceAnalysis>, CountsSource) {
+        let key = (trace_pattern(pattern), working_set, cap_bytes);
+        let cell = {
+            let mut a = self.lock_analyses();
+            match a.cells.get(&key) {
+                Some(cell) => Arc::clone(cell),
+                None => {
+                    let cell = AnalysisCell::default();
+                    a.cells.insert(key, Arc::clone(&cell));
+                    a.order.push_back(key);
+                    cell
+                }
+            }
+        };
+        // Analyze outside the map lock: concurrent sweep workers on
+        // *different* profiles must not serialize on one histogram's
+        // construction; workers on the *same* profile wait on its cell.
+        let mut computed = false;
+        let analysis = Arc::clone(cell.get_or_init(|| {
+            computed = true;
+            Arc::new(analyze_trace(key.0, working_set, cap_bytes))
+        }));
+        if !computed {
             self.hits.inc();
-            return Arc::clone(a);
+            return (analysis, CountsSource::Memoized);
         }
-        // Analyze outside the lock: concurrent sweep workers on *different*
-        // profiles must not serialize on one histogram's construction.
-        let a = Arc::new(analyze_trace(pattern, working_set, cap_bytes));
-        let mut map = self.analyses.lock().unwrap();
-        let entry = map.entry(key).or_insert_with(|| Arc::clone(&a));
         self.misses.inc();
-        Arc::clone(entry)
+        let mut a = self.lock_analyses();
+        // A `clear` or an eviction may have dropped the cell meanwhile.
+        if a.cells.get(&key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
+            a.bytes += analysis.histogram_bytes();
+            while a.bytes > HISTOGRAM_BUDGET_BYTES {
+                let oldest = a.order.pop_front().expect("bytes held imply a key");
+                let evicted = a.cells.remove(&oldest).expect("ordered keys are cached");
+                a.bytes -= evicted.get().map_or(0, |e| e.histogram_bytes());
+            }
+            self.publish(&a);
+        }
+        (analysis, CountsSource::Computed)
     }
 
     /// Number of distinct analyses currently memoized.
     pub fn len(&self) -> usize {
-        self.analyses.lock().unwrap().len()
+        self.lock_analyses().cells.len()
     }
 
     /// Whether the cache holds no analyses.
@@ -810,11 +917,20 @@ impl HistogramCache {
         self.len() == 0
     }
 
-    /// Drop all memoized analyses and exact results (counters keep their
-    /// totals — they are lifetime counters, not gauges).
+    /// Drop all memoized analyses and counts (counters keep their totals
+    /// — they are lifetime counters, not gauges).
     pub fn clear(&self) {
-        self.analyses.lock().unwrap().clear();
-        self.exact.lock().unwrap().clear();
+        let mut a = self.lock_analyses();
+        *a = Analyses::default();
+        self.publish(&a);
+        drop(a);
+        self.lock_counts().clear();
+    }
+
+    /// Prometheus text exposition of the `eod_devsim_histogram_cache_*`
+    /// gauges.
+    pub fn metrics_text(&self) -> String {
+        self.registry.render()
     }
 }
 
@@ -824,26 +940,27 @@ impl Default for HistogramCache {
     }
 }
 
-/// Two-pass hierarchy counts for `(pattern, working_set)` on `shape`,
-/// via the selected engine and memo cache.
+/// Two-pass hierarchy counts for `(pattern, working_set)` on `shape`, via
+/// the selected engine and memo cache, with how the answer was produced.
 ///
-/// The `Exact` arm streams the lazy trace twice through the simulator and
-/// snapshots its cumulative counts after each pass — byte-for-byte the
-/// behaviour of the old materialized-trace verification path (results are
-/// memoized per `(profile, shape)`, which cannot change them: the
-/// simulator is deterministic). The `StackDistance` arm derives the same
-/// counts analytically from the memoized histogram.
-pub fn two_pass_counts(
+/// A repeated `(engine, profile, shape)` query is one map lookup. On a
+/// miss the `Exact` arm streams the lazy trace twice through the simulator
+/// and snapshots its cumulative counts after each pass — byte-for-byte the
+/// behaviour of the old materialized-trace verification path — and the
+/// `StackDistance` arm derives the same counts analytically from the
+/// memoized histogram. Memoizing cannot change either answer: both are
+/// deterministic functions of the key.
+pub fn two_pass_counts_traced(
     engine: CacheEngine,
     pattern: AccessPattern,
     working_set: u64,
     cap_bytes: u64,
     shape: &HierarchyShape,
     cache: &HistogramCache,
-) -> TwoPassCounts {
+) -> (TwoPassCounts, CountsSource) {
     // Tiny traces: the analytic expectation cannot track one concrete
     // realization to within tolerance, and simulating them is just as
-    // cheap — delegate to the (memoized) exact arm below 1 MiB.
+    // cheap — delegate to the exact arm below 1 MiB.
     let engine = if engine == CacheEngine::StackDistance
         && effective_lines(working_set, cap_bytes) < ANALYTIC_MIN_LINES
     {
@@ -851,18 +968,23 @@ pub fn two_pass_counts(
     } else {
         engine
     };
-    match engine {
+    let pattern = trace_pattern(pattern);
+    let key = (engine, pattern, working_set, cap_bytes, *shape);
+    if let Some(counts) = cache.lock_counts().get(&key) {
+        let source = match engine {
+            CacheEngine::Exact => CountsSource::Simulated,
+            CacheEngine::StackDistance => CountsSource::Memoized,
+        };
+        return (counts.clone(), source);
+    }
+    // Compute outside the lock: a 40 ms derivation or a two-pass
+    // simulation must not stall lookups of other keys.
+    let (counts, source) = match engine {
         CacheEngine::StackDistance => {
-            let analysis = cache.get_or_analyze(pattern, working_set, cap_bytes);
-            derive_counts(&analysis, shape)
+            let (analysis, source) = cache.get_or_analyze(pattern, working_set, cap_bytes);
+            (derive_counts(&analysis, shape), source)
         }
         CacheEngine::Exact => {
-            let mut key = Fnv::new();
-            key.update(&[profile_key(pattern, working_set, cap_bytes), shape.key()]);
-            let key = key.finish();
-            if let Some(c) = cache.exact.lock().unwrap().get(&key) {
-                return c.clone();
-            }
             let mut h = shape.build();
             h.run_trace(TracePass::new(pattern, working_set, cap_bytes));
             let cold = h.counts();
@@ -871,10 +993,23 @@ pub fn two_pass_counts(
                 cold,
                 total: h.counts(),
             };
-            cache.exact.lock().unwrap().insert(key, counts.clone());
-            counts
+            (counts, CountsSource::Simulated)
         }
-    }
+    };
+    cache.lock_counts().insert(key, counts.clone());
+    (counts, source)
+}
+
+/// [`two_pass_counts_traced`] without the provenance.
+pub fn two_pass_counts(
+    engine: CacheEngine,
+    pattern: AccessPattern,
+    working_set: u64,
+    cap_bytes: u64,
+    shape: &HierarchyShape,
+    cache: &HistogramCache,
+) -> TwoPassCounts {
+    two_pass_counts_traced(engine, pattern, working_set, cap_bytes, shape, cache).0
 }
 
 #[cfg(test)]
@@ -1023,5 +1158,74 @@ mod tests {
         set_default_engine(CacheEngine::Exact);
         assert_eq!(default_engine(), CacheEngine::Exact);
         set_default_engine(prev);
+    }
+
+    fn i7() -> HierarchyShape {
+        let spec = crate::catalog::DeviceId::by_name("i7-6700K")
+            .unwrap()
+            .spec();
+        HierarchyShape::for_spec(spec)
+    }
+
+    #[test]
+    fn repeated_query_is_a_lookup_and_clear_empties_counts() {
+        let cache = HistogramCache::new();
+        let query = |pattern, ws| {
+            let before = derivations();
+            let (counts, source) = two_pass_counts_traced(
+                CacheEngine::StackDistance,
+                pattern,
+                ws,
+                DEFAULT_TRACE_CAP,
+                &i7(),
+                &cache,
+            );
+            (counts, source, derivations() - before)
+        };
+        let (first, source, derived) = query(AccessPattern::Gather, 2 << 20);
+        assert_eq!((source, derived), (CountsSource::Computed, 1));
+        let (again, source, derived) = query(AccessPattern::Gather, 2 << 20);
+        assert_eq!((source, derived), (CountsSource::Memoized, 0));
+        assert_eq!(again, first);
+        // `Random` draws the same trace, so it is the same entry.
+        let (random, source, derived) = query(AccessPattern::Random, 2 << 20);
+        assert_eq!((source, derived), (CountsSource::Memoized, 0));
+        assert_eq!(random, first);
+        // Under `ANALYTIC_MIN_LINES` the exact arm answers, memoized too.
+        let (tiny, source, derived) = query(AccessPattern::Strided, 300 << 10);
+        assert_eq!((source, derived), (CountsSource::Simulated, 0));
+        assert_eq!(query(AccessPattern::Strided, 300 << 10).0, tiny);
+        assert_eq!(cache.len(), 1, "the exact arm stores no analysis");
+
+        cache.clear();
+        assert!(cache.is_empty());
+        assert_eq!(cache.bytes.get(), 0.0);
+        let (after, source, derived) = query(AccessPattern::Gather, 2 << 20);
+        assert_eq!(
+            (source, derived),
+            (CountsSource::Computed, 1),
+            "clear must drop the counts too, not only the analyses"
+        );
+        assert_eq!(after, first);
+    }
+
+    #[test]
+    fn gauges_track_the_memoized_analyses() {
+        let cache = HistogramCache::new();
+        let (a, _) = cache.get_or_analyze(AccessPattern::Random, 2 << 20, DEFAULT_TRACE_CAP);
+        let (b, _) = cache.get_or_analyze(AccessPattern::Streaming, 2 << 20, DEFAULT_TRACE_CAP);
+        let held = a.histogram_bytes() + b.histogram_bytes();
+        assert!(a.histogram_bytes() > 100 * b.histogram_bytes());
+        assert_eq!(cache.bytes.get(), held as f64);
+        assert_eq!(cache.entries.get(), 2.0);
+        let text = cache.metrics_text();
+        assert!(
+            text.contains(&format!("eod_devsim_histogram_cache_bytes {held}\n")),
+            "{text}"
+        );
+        assert!(
+            text.contains("eod_devsim_histogram_cache_entries 2\n"),
+            "{text}"
+        );
     }
 }

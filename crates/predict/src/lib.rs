@@ -42,7 +42,9 @@ use std::time::Instant;
 use eod_clrt::{CommandQueue, Context, Platform};
 use eod_core::{JobSpec, Prediction, PredictionSet, ProfileProvenance};
 use eod_devsim::model::MemTier;
-use eod_devsim::stackdist::{default_engine, two_pass_counts, DEFAULT_TRACE_CAP};
+use eod_devsim::stackdist::{
+    default_engine, two_pass_counts_traced, CountsSource, DEFAULT_TRACE_CAP,
+};
 use eod_devsim::{
     DeviceId, DeviceModel, HierarchyShape, HistogramCache, KernelProfile, PowerModel,
 };
@@ -335,26 +337,18 @@ fn extract_profiles(spec: &JobSpec) -> Result<Vec<KernelProfile>, PredictError> 
 /// device's hierarchy and report (provenance, tier agreement).
 fn cache_evidence(model: &DeviceModel, profile: &KernelProfile) -> (ProfileProvenance, f64) {
     let shape = HierarchyShape::for_spec(model.spec());
-    let cache = HistogramCache::global();
-    let hits_before = cache.hits.get();
-    let misses_before = cache.misses.get();
-    let counts = two_pass_counts(
+    let (counts, source) = two_pass_counts_traced(
         default_engine(),
         profile.pattern,
         profile.working_set,
         DEFAULT_TRACE_CAP,
         &shape,
-        cache,
+        HistogramCache::global(),
     );
-    // The histogram cache is global, so under concurrency another thread
-    // may bump the counters too; the deltas are best-effort provenance,
-    // not an accounting invariant.
-    let provenance = if cache.misses.get() > misses_before {
-        ProfileProvenance::Computed
-    } else if cache.hits.get() > hits_before {
-        ProfileProvenance::Memoized
-    } else {
-        ProfileProvenance::Simulated
+    let provenance = match source {
+        CountsSource::Computed => ProfileProvenance::Computed,
+        CountsSource::Memoized => ProfileProvenance::Memoized,
+        CountsSource::Simulated => ProfileProvenance::Simulated,
     };
 
     let warm = counts.warm();
@@ -561,5 +555,36 @@ mod tests {
         let set = p.predict(&s).unwrap();
         let expect = set.for_device("GTX 1080").unwrap().modeled_runtime_us / 1e6;
         assert_eq!(p.runtime_s(&s), Some(expect));
+    }
+
+    #[test]
+    fn provenance_is_reported_by_the_engine_not_inferred_from_global_counters() {
+        // csr medium's dominant profile gathers over ~8 MiB: large enough
+        // for the analytic arm, so no row may read `simulated`.
+        let mut s = spec("csr", ProblemSize::Medium);
+        Predictor::new().predict(&s).unwrap();
+        // The same workload asked about another device by two predictors
+        // at once: whichever thread's lookups interleave, every answer
+        // comes from the memo the first prediction filled.
+        s.device = "i7-6700K".into();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let p = Predictor::new();
+                    start.wait();
+                    let set = p.predict(&s).unwrap();
+                    assert_eq!(set.predictions.len(), catalog_len());
+                    for pred in &set.predictions {
+                        assert_eq!(
+                            pred.cache_profile_provenance,
+                            ProfileProvenance::Memoized,
+                            "{}",
+                            pred.device
+                        );
+                    }
+                });
+            }
+        });
     }
 }

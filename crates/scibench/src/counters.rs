@@ -12,8 +12,7 @@
 //! and kernel models — this crate deliberately knows nothing about where the
 //! numbers come from, just as LibSciBench treats PAPI as an opaque source.
 
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// The hardware events the paper collects, named after their PAPI presets.
@@ -44,6 +43,9 @@ pub enum HwCounter {
 }
 
 impl HwCounter {
+    /// Number of events: one past the last declared variant.
+    const COUNT: usize = HwCounter::LoadStoreInstructions as usize + 1;
+
     /// The PAPI preset string for this event.
     pub fn papi_name(self) -> &'static str {
         match self {
@@ -131,10 +133,11 @@ impl CounterSet {
     }
 }
 
-/// One sample of counter readings for a measured region.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// One sample of counter readings for a measured region: one slot per
+/// [`HwCounter`], indexed by declaration order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterValues {
-    values: BTreeMap<HwCounter, u64>,
+    values: [Option<u64>; HwCounter::COUNT],
 }
 
 impl CounterValues {
@@ -145,19 +148,21 @@ impl CounterValues {
 
     /// Record a value, overwriting any previous reading of the same event.
     pub fn set(&mut self, e: HwCounter, v: u64) {
-        self.values.insert(e, v);
+        self.values[e as usize] = Some(v);
     }
 
     /// Read a value; `None` if the event was not collected.
     pub fn get(&self, e: HwCounter) -> Option<u64> {
-        self.values.get(&e).copied()
+        self.values[e as usize]
     }
 
     /// Accumulate another reading into this one (for summing across kernels,
     /// as the paper sums all compute time/events on the accelerator).
     pub fn accumulate(&mut self, other: &CounterValues) {
-        for (&e, &v) in &other.values {
-            *self.values.entry(e).or_insert(0) += v;
+        for (mine, theirs) in self.values.iter_mut().zip(other.values) {
+            if let Some(v) = theirs {
+                *mine = Some(mine.unwrap_or(0) + v);
+            }
         }
     }
 
@@ -206,9 +211,45 @@ impl CounterValues {
         Some(msp / br)
     }
 
-    /// Iterate over collected (event, value) pairs in PAPI-name order.
+    /// Iterate over collected (event, value) pairs in [`HwCounter`]
+    /// declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (HwCounter, u64)> + '_ {
-        self.values.iter().map(|(&e, &v)| (e, v))
+        HwCounter::all()
+            .iter()
+            .zip(self.values)
+            .filter_map(|(&e, v)| Some((e, v?)))
+    }
+}
+
+/// Wire form `{"values":{"TotalInstructions":…}}`: collected events only,
+/// in declaration order — what the `BTreeMap`-backed derive produced, so
+/// recorded results, the serve cache and fleet messages read unchanged.
+impl Serialize for CounterValues {
+    fn to_value(&self) -> Value {
+        let values = self
+            .iter()
+            .map(|(e, v)| {
+                let Value::Str(name) = e.to_value() else {
+                    unreachable!("unit variants serialize as their name");
+                };
+                (name, Value::U64(v))
+            })
+            .collect();
+        Value::Map(vec![("values".to_string(), Value::Map(values))])
+    }
+}
+
+impl Deserialize for CounterValues {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let Value::Map(entries) = v.get_field("values") else {
+            return Err(DeError::msg("CounterValues: `values` must be an object"));
+        };
+        let mut out = CounterValues::new();
+        for (name, value) in entries {
+            let event = HwCounter::from_value(&Value::Str(name.clone()))?;
+            out.set(event, u64::from_value(value)?);
+        }
+        Ok(out)
     }
 }
 
@@ -284,7 +325,82 @@ mod tests {
         b.set(HwCounter::TotalInstructions, 32);
         b.set(HwCounter::BranchInstructions, 4);
         a.accumulate(&b);
-        assert_eq!(a.get(HwCounter::TotalInstructions), Some(42));
-        assert_eq!(a.get(HwCounter::BranchInstructions), Some(4));
+        assert_eq!(a.get(HwCounter::TotalInstructions), Some(42), "overlap");
+        assert_eq!(a.get(HwCounter::BranchInstructions), Some(4), "disjoint");
+        assert_eq!(a.get(HwCounter::TotalCycles), None, "in neither");
+
+        let before = a.clone();
+        a.accumulate(&CounterValues::new());
+        assert_eq!(a, before, "an empty reading adds nothing");
+        let mut empty = CounterValues::new();
+        empty.accumulate(&before);
+        assert_eq!(empty, before, "accumulating into empty copies");
+
+        // A collected zero is a reading, not an absence.
+        let mut zero = CounterValues::new();
+        zero.set(HwCounter::DataTlbMisses, 0);
+        let mut c = CounterValues::new();
+        c.accumulate(&zero);
+        assert_eq!(c.get(HwCounter::DataTlbMisses), Some(0));
+    }
+
+    #[test]
+    fn slots_follow_declaration_order() {
+        assert_eq!(HwCounter::all().len(), HwCounter::COUNT);
+        for (i, &e) in HwCounter::all().iter().enumerate() {
+            assert_eq!(e as usize, i, "{e:?}");
+        }
+        // Set in reverse; iteration is still `HwCounter::all()` order.
+        let mut v = CounterValues::new();
+        for (i, &e) in HwCounter::all().iter().enumerate().rev() {
+            v.set(e, i as u64);
+        }
+        let events: Vec<HwCounter> = v.iter().map(|(e, _)| e).collect();
+        assert_eq!(events, HwCounter::all());
+        assert!(v.iter().all(|(e, n)| n == e as u64));
+    }
+
+    /// The wire form of the `BTreeMap<HwCounter, u64>`-backed derive, which
+    /// recorded results, the serve cache and fleet messages carry.
+    const FULL_JSON: &str = "{\"values\":{\"TotalInstructions\":13780,\"TotalCycles\":26081,\
+        \"L1DataCacheMisses\":0,\"L2DataCacheMisses\":1,\"L3TotalCacheAccesses\":2,\
+        \"L3TotalCacheMisses\":3,\"DataTlbMisses\":4,\"BranchInstructions\":960,\
+        \"BranchMispredictions\":5,\"FloatingPointOps\":6,\"LoadStoreInstructions\":820}}";
+    const PARTIAL_JSON: &str =
+        "{\"values\":{\"TotalCycles\":18446744073709551615,\"DataTlbMisses\":0}}";
+
+    #[test]
+    fn wire_form_is_the_btreemap_form() {
+        let mut full = CounterValues::new();
+        for (&e, v) in HwCounter::all()
+            .iter()
+            .zip([13780, 26081, 0, 1, 2, 3, 4, 960, 5, 6, 820])
+        {
+            full.set(e, v);
+        }
+        let mut partial = CounterValues::new();
+        partial.set(HwCounter::DataTlbMisses, 0);
+        partial.set(HwCounter::TotalCycles, u64::MAX);
+        for (reading, json) in [
+            (full, FULL_JSON),
+            (partial, PARTIAL_JSON),
+            (CounterValues::new(), "{\"values\":{}}"),
+        ] {
+            assert_eq!(serde_json::to_string(&reading).unwrap(), json);
+            let back: CounterValues = serde_json::from_str(json).unwrap();
+            assert_eq!(back, reading);
+        }
+    }
+
+    #[test]
+    fn malformed_wire_forms_are_errors() {
+        for bad in [
+            "{}",
+            "{\"values\":[]}",
+            "{\"values\":{\"NoSuchCounter\":1}}",
+            "{\"values\":{\"TotalCycles\":-1}}",
+        ] {
+            assert!(serde_json::from_str::<CounterValues>(bad).is_err(), "{bad}");
+        }
     }
 }
