@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Selector for the two built-in backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum BackendKind {
     /// Threaded host execution with the vectorized fast path.
@@ -237,7 +237,7 @@ pub fn set_default_backend(kind: BackendKind) {
 }
 
 /// Which execution variant vectorized-capable kernels take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum KernelPath {
     /// Force the per-item work-group loop everywhere (the reference path).

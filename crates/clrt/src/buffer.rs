@@ -12,20 +12,21 @@
 //! concurrent work-items reading and writing disjoint elements are sound
 //! without locks and without overhead on x86-64.
 
+use crate::context::Meter;
 use crate::scalar::Scalar;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Decrements the context's allocation meter when the buffer dies.
+/// Returns the buffer's bytes to the context's allocation meter when the
+/// buffer dies.
 #[derive(Debug)]
 pub(crate) struct AllocGuard {
-    pub(crate) meter: Arc<AtomicU64>,
+    pub(crate) meter: Arc<Meter>,
     pub(crate) bytes: u64,
 }
 
 impl Drop for AllocGuard {
     fn drop(&mut self) {
-        self.meter.fetch_sub(self.bytes, Ordering::Relaxed);
+        self.meter.release(self.bytes);
     }
 }
 
@@ -49,7 +50,19 @@ impl<T: Scalar> Clone for Buffer<T> {
 
 impl<T: Scalar> Buffer<T> {
     pub(crate) fn new_with_guard(init: &[T], guard: AllocGuard) -> Self {
-        let cells: Vec<T::Atomic> = init.iter().map(|&v| T::new_cell(v)).collect();
+        Self::from_cells(init.iter().map(|&v| T::new_cell(v)).collect(), guard)
+    }
+
+    /// `len` cells of `T::default()`, built in place: no host-side
+    /// staging vector to allocate, fill and read back.
+    pub(crate) fn zeroed(len: usize, guard: AllocGuard) -> Self {
+        let cells = std::iter::repeat_with(|| T::new_cell(T::default()))
+            .take(len)
+            .collect();
+        Self::from_cells(cells, guard)
+    }
+
+    fn from_cells(cells: Vec<T::Atomic>, guard: AllocGuard) -> Self {
         Self {
             cells: Arc::new(cells),
             _guard: Arc::new(guard),
@@ -317,11 +330,17 @@ impl<T: Scalar> BufView<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+
+    fn metered(bytes: u64) -> Arc<Meter> {
+        let meter = Arc::<Meter>::default();
+        meter.allocated.store(bytes, Ordering::Relaxed);
+        meter
+    }
 
     fn test_buffer<T: Scalar>(init: &[T]) -> Buffer<T> {
-        let meter = Arc::new(AtomicU64::new(0));
         let bytes = (init.len() * T::BYTES) as u64;
-        meter.fetch_add(bytes, Ordering::Relaxed);
+        let meter = metered(bytes);
         Buffer::new_with_guard(init, AllocGuard { meter, bytes })
     }
 
@@ -425,10 +444,9 @@ mod tests {
 
     #[test]
     fn drop_releases_meter() {
-        let meter = Arc::new(AtomicU64::new(0));
+        let meter = metered(16);
         {
             let bytes = 16;
-            meter.fetch_add(bytes, Ordering::Relaxed);
             let _b = Buffer::new_with_guard(
                 &[0.0f32; 4],
                 AllocGuard {
@@ -436,14 +454,14 @@ mod tests {
                     bytes,
                 },
             );
-            assert_eq!(meter.load(Ordering::Relaxed), 16);
+            assert_eq!(meter.allocated.load(Ordering::Relaxed), 16);
         }
-        assert_eq!(meter.load(Ordering::Relaxed), 0);
+        assert_eq!(meter.allocated.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn clones_share_one_guard() {
-        let meter = Arc::new(AtomicU64::new(8));
+        let meter = metered(8);
         let b = Buffer::new_with_guard(
             &[0u64],
             AllocGuard {
@@ -453,8 +471,12 @@ mod tests {
         );
         let b2 = b.clone();
         drop(b);
-        assert_eq!(meter.load(Ordering::Relaxed), 8, "clone keeps alloc alive");
+        assert_eq!(
+            meter.allocated.load(Ordering::Relaxed),
+            8,
+            "clone keeps alloc alive"
+        );
         drop(b2);
-        assert_eq!(meter.load(Ordering::Relaxed), 0);
+        assert_eq!(meter.allocated.load(Ordering::Relaxed), 0);
     }
 }

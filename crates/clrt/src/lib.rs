@@ -74,6 +74,7 @@ pub mod kernel;
 pub mod ndrange;
 pub mod platform;
 pub mod queue;
+pub mod record;
 pub mod scalar;
 pub mod vecops;
 
@@ -92,6 +93,7 @@ pub mod prelude {
     pub use crate::ndrange::{NdRange, WorkGroup, WorkItem};
     pub use crate::platform::Platform;
     pub use crate::queue::{CommandQueue, DispatchMode};
+    pub use crate::record::Command;
     pub use crate::scalar::Scalar;
 }
 

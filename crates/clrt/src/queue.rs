@@ -23,12 +23,14 @@
 use crate::backend::{default_backend, BackendKind};
 use crate::buffer::Buffer;
 use crate::context::Context;
-use crate::device::{Device, Timing};
+use crate::device::{Device, SimBackend, Timing};
 use crate::error::{Error, Result};
 use crate::event::{CommandKind, Event};
 use crate::kernel::Kernel;
 use crate::ndrange::NdRange;
+use crate::record::Command;
 use crate::scalar::Scalar;
+use eod_devsim::profile::KernelProfile;
 use eod_telemetry::{Span, TraceSink, Track};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -214,6 +216,11 @@ impl CommandQueue {
         self.ctx.device()
     }
 
+    /// The context this queue was created on.
+    pub fn context(&self) -> &Context {
+        &self.ctx
+    }
+
     /// Seconds elapsed on the queue clock (modeled time for simulated
     /// devices — the harness reads this as "device wall time").
     pub fn clock_seconds(&self) -> f64 {
@@ -281,16 +288,93 @@ impl CommandQueue {
         }
     }
 
+    /// A kernel launch timed by the device model: one draw from the
+    /// device's noise stream, counters for the profile, and the queue
+    /// clock advanced by the noisy cost. Live simulated launches and
+    /// recorded ones both end here, so the two cannot drift apart.
+    /// Replayed launches synthesize counters too (events keep
+    /// `counters: Some(..)`); it is a memo lookup per launch, not a
+    /// derivation.
+    fn modeled_kernel(&self, sim: &SimBackend, name: &str, profile: KernelProfile) -> Event {
+        let queued = self.clock_seconds();
+        let cost = sim.noisy_cost(&profile);
+        let counters = sim.counters(&profile, &cost);
+        let (start, end) = self.advance_clock(cost.total_s);
+        let mut ev = self.make_event(name.to_string(), CommandKind::Kernel, queued, start, end);
+        ev.counters = Some(counters);
+        ev.cost = Some(cost);
+        ev.profile = Some(profile);
+        self.trace_event(&ev);
+        ev
+    }
+
+    /// A transfer that took `seconds` on the queue clock. The clock has
+    /// not moved since the command was accepted — only the enqueuing
+    /// thread advances it — so `QUEUED` is read here.
+    fn transfer_event(&self, kind: CommandKind, seconds: f64) -> Event {
+        let queued = self.clock_seconds();
+        let (start, end) = self.advance_clock(seconds);
+        let name = if kind == CommandKind::WriteBuffer {
+            "write"
+        } else {
+            "read"
+        };
+        let ev = self.make_event(name.into(), kind, queued, start, end);
+        self.trace_event(&ev);
+        ev
+    }
+
+    /// A transfer of `bytes` timed by the device's host-link model.
+    fn modeled_transfer(&self, sim: &SimBackend, kind: CommandKind, bytes: u64) -> Event {
+        self.transfer_event(kind, sim.transfer.transfer_time(bytes).as_secs_f64())
+    }
+
+    /// Price one recorded [`Command`] on this queue's simulated device as
+    /// the live call that recorded it would have been priced here, without
+    /// executing anything: an allocation is admitted against this device's
+    /// memory (or refused with the error a live allocation would get), a
+    /// transfer or a launch advances the clock and returns its event.
+    /// Native devices time real execution and have nothing to price.
+    pub fn enqueue_recorded(&self, cmd: &Command) -> Result<Option<Event>> {
+        let Timing::Modeled(sim) = self.device().timing() else {
+            return Err(Error::InvalidValue(
+                "recorded commands are priced on simulated devices only".into(),
+            ));
+        };
+        Ok(match cmd {
+            Command::Alloc { bytes } => {
+                self.ctx.admit(*bytes)?;
+                None
+            }
+            Command::Free { bytes } => {
+                self.ctx.release(*bytes);
+                None
+            }
+            Command::Write { bytes } => {
+                Some(self.modeled_transfer(sim, CommandKind::WriteBuffer, *bytes))
+            }
+            Command::Read { bytes } => {
+                Some(self.modeled_transfer(sim, CommandKind::ReadBuffer, *bytes))
+            }
+            Command::Kernel { name, profile } => {
+                Some(self.modeled_kernel(sim, name, profile.clone()))
+            }
+        })
+    }
+
     /// Launch a kernel over an ND-range (`clEnqueueNDRangeKernel`).
     pub fn enqueue_kernel(&self, kernel: &dyn Kernel, range: &NdRange) -> Result<Event> {
         range.validate(self.device().max_work_group_size())?;
         let profile = kernel.profile();
         profile.validate().map_err(Error::InvalidValue)?;
-
-        let queued = self.clock_seconds();
+        self.ctx.record(|| Command::Kernel {
+            name: kernel.name().to_string(),
+            profile: profile.clone(),
+        });
 
         match self.device().timing() {
             Timing::Wall => {
+                let queued = self.clock_seconds();
                 let elapsed = self.launch(kernel, range);
                 let (start, end) = self.advance_clock(elapsed);
                 let mut ev = self.make_event(
@@ -310,24 +394,7 @@ impl CommandQueue {
                 if !self.replay() {
                     self.launch(kernel, range);
                 }
-                // Modeled time for the event. Replayed launches synthesize
-                // counters too (events keep `counters: Some(..)`); it is a
-                // memo lookup per launch, not a derivation.
-                let cost = sim.noisy_cost(&profile);
-                let counters = sim.counters(&profile, &cost);
-                let (start, end) = self.advance_clock(cost.total_s);
-                let mut ev = self.make_event(
-                    kernel.name().to_string(),
-                    CommandKind::Kernel,
-                    queued,
-                    start,
-                    end,
-                );
-                ev.counters = Some(counters);
-                ev.cost = Some(cost);
-                ev.profile = Some(profile);
-                self.trace_event(&ev);
-                Ok(ev)
+                Ok(self.modeled_kernel(sim, kernel.name(), profile))
             }
         }
     }
@@ -348,7 +415,8 @@ impl CommandQueue {
                 buf.len()
             )));
         }
-        let queued = self.clock_seconds();
+        self.ctx.record(|| Command::Write { bytes: buf.bytes() });
+        let wall = Instant::now();
         // SAFETY (both backends): this runtime executes commands
         // synchronously, so no kernel previously enqueued on this queue
         // is still running; concurrent access from other threads is
@@ -356,27 +424,15 @@ impl CommandQueue {
         // above. This is the crate-internal home of the bulk-copy fast
         // path — kernels and hosts going through safe APIs get the
         // atomic per-element path instead.
-        match self.device().timing() {
+        unsafe { buf.copy_from_slice(data) };
+        Ok(match self.device().timing() {
             Timing::Wall => {
-                let wall = Instant::now();
-                unsafe { buf.copy_from_slice(data) };
-                let elapsed = wall.elapsed().as_secs_f64();
-                let (start, end) = self.advance_clock(elapsed);
-                let ev =
-                    self.make_event("write".into(), CommandKind::WriteBuffer, queued, start, end);
-                self.trace_event(&ev);
-                Ok(ev)
+                self.transfer_event(CommandKind::WriteBuffer, wall.elapsed().as_secs_f64())
             }
             Timing::Modeled(sim) => {
-                unsafe { buf.copy_from_slice(data) };
-                let t = sim.transfer.transfer_time(buf.bytes()).as_secs_f64();
-                let (start, end) = self.advance_clock(t);
-                let ev =
-                    self.make_event("write".into(), CommandKind::WriteBuffer, queued, start, end);
-                self.trace_event(&ev);
-                Ok(ev)
+                self.modeled_transfer(sim, CommandKind::WriteBuffer, buf.bytes())
             }
-        }
+        })
     }
 
     /// Copy a buffer back to host memory (`clEnqueueReadBuffer`).
@@ -392,31 +448,20 @@ impl CommandQueue {
                 buf.len()
             )));
         }
-        let queued = self.clock_seconds();
+        self.ctx.record(|| Command::Read { bytes: buf.bytes() });
+        let wall = Instant::now();
         // SAFETY (both backends): as in `enqueue_write_buffer` — in-order
         // synchronous execution means no enqueued kernel still runs, and
         // the documented transfer contract excludes other threads.
-        match self.device().timing() {
+        unsafe { buf.copy_to_slice(out) };
+        Ok(match self.device().timing() {
             Timing::Wall => {
-                let wall = Instant::now();
-                unsafe { buf.copy_to_slice(out) };
-                let elapsed = wall.elapsed().as_secs_f64();
-                let (start, end) = self.advance_clock(elapsed);
-                let ev =
-                    self.make_event("read".into(), CommandKind::ReadBuffer, queued, start, end);
-                self.trace_event(&ev);
-                Ok(ev)
+                self.transfer_event(CommandKind::ReadBuffer, wall.elapsed().as_secs_f64())
             }
             Timing::Modeled(sim) => {
-                unsafe { buf.copy_to_slice(out) };
-                let t = sim.transfer.transfer_time(buf.bytes()).as_secs_f64();
-                let (start, end) = self.advance_clock(t);
-                let ev =
-                    self.make_event("read".into(), CommandKind::ReadBuffer, queued, start, end);
-                self.trace_event(&ev);
-                Ok(ev)
+                self.modeled_transfer(sim, CommandKind::ReadBuffer, buf.bytes())
             }
-        }
+        })
     }
 }
 
@@ -843,5 +888,77 @@ mod tests {
         assert_eq!(img.get(0), 0.0);
         assert_eq!(img.get(1), 1.0);
         assert_eq!(img.get(w * h - 1), (w - 1 + h - 1) as f32);
+    }
+
+    #[test]
+    fn recorded_commands_price_to_the_events_the_live_calls_produced() {
+        // Live on a recording context, then the tape priced on a fresh
+        // queue of the same device with the noise stream restarted: every
+        // timestamp, cost and counter equal, bit for bit.
+        let id = DeviceId::by_name("K40m").unwrap();
+        let device = Device::simulated_seeded(id, 5);
+        let n = 2048;
+        let live: Vec<Event> = {
+            let ctx = Context::recording(device.clone());
+            let queue = CommandQueue::new(&ctx).with_profiling();
+            let b = ctx.create_buffer::<f32>(n).unwrap();
+            let k = ClosureKernel::new("double", n as u64, {
+                let b = b.view();
+                move |item: &WorkItem| {
+                    let i = item.global_id(0);
+                    b.set(i, b.get(i) * 2.0);
+                }
+            });
+            let mut out = vec![0.0f32; n];
+            let events = vec![
+                queue.enqueue_write_buffer(&b, &vec![1.0f32; n]).unwrap(),
+                queue.enqueue_kernel(&k, &NdRange::d1(n, 64)).unwrap(),
+                queue.enqueue_kernel(&k, &NdRange::d1(n, 64)).unwrap(),
+                queue.enqueue_read_buffer(&b, &mut out).unwrap(),
+            ];
+            assert_eq!(out[0], 4.0);
+            let tape = ctx.finish_recording();
+            assert_eq!(tape.len(), 5, "one allocation, four queue commands");
+            assert_eq!(
+                tape[0],
+                Command::Alloc {
+                    bytes: 4 * n as u64
+                }
+            );
+            assert_eq!(
+                tape[1],
+                Command::Write {
+                    bytes: 4 * n as u64
+                }
+            );
+            assert!(matches!(&tape[2], Command::Kernel { name, .. } if name == "double"));
+
+            device.reseed_noise(5);
+            let ctx = Context::new(device.clone());
+            let queue = CommandQueue::new(&ctx).with_profiling();
+            let priced: Vec<Event> = tape
+                .iter()
+                .filter_map(|cmd| queue.enqueue_recorded(cmd).unwrap())
+                .collect();
+            assert_eq!(ctx.allocated_bytes(), 4 * n as u64);
+            assert_eq!(priced.len(), events.len());
+            for (p, l) in priced.iter().zip(&events) {
+                assert_eq!((&p.name, p.kind), (&l.name, l.kind));
+                assert_eq!(
+                    [p.queued, p.submit, p.start, p.end].map(f64::to_bits),
+                    [l.queued, l.submit, l.start, l.end].map(f64::to_bits),
+                    "{}",
+                    l.name
+                );
+                assert_eq!(p.counters, l.counters);
+                assert_eq!(p.cost, l.cost);
+                assert_eq!(p.profile, l.profile);
+            }
+            events
+        };
+        assert!(live[1].end > live[1].start);
+        // Native devices time execution; there is nothing to price.
+        let queue = CommandQueue::new(&Context::new(Device::native()));
+        assert!(queue.enqueue_recorded(&Command::Read { bytes: 4 }).is_err());
     }
 }

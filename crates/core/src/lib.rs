@@ -16,6 +16,10 @@
 //! * [`args`] — the Table 3 program-argument grammar;
 //! * [`validation`] — output-correctness helpers ("comparing outputs
 //!   against a serial implementation … or comparing norms", §4.4.2);
+//! * [`recorded`] — one recorded execution per (benchmark, size, seed):
+//!   the device-independent command list of a run, the bounded store that
+//!   shares it, and the [`recorded::Source`] a measurement group iterates
+//!   (the live workload, or the recorded run priced on its own device);
 //! * [`spec`] — serializable job specifications and stable content
 //!   hashing for the execution service;
 //! * [`fleet`] — the distributed-fleet vocabulary shared by the
@@ -27,6 +31,7 @@ pub mod benchmark;
 pub mod dwarf;
 pub mod fleet;
 pub mod predict;
+pub mod recorded;
 pub mod sizes;
 pub mod sizing;
 pub mod spec;
@@ -36,6 +41,7 @@ pub use benchmark::{Benchmark, IterationOutput, Workload};
 pub use dwarf::Dwarf;
 pub use fleet::{Attempt, AttemptOutcome, LeaseTerms, WorkerCapabilities};
 pub use predict::{Prediction, PredictionSet, ProfileProvenance};
+pub use recorded::{model_only_run, RecordedRun, RunLog, Source};
 pub use sizes::{ProblemSize, ScaleTable};
 pub use sizing::SkylakeHierarchy;
 pub use spec::{ExecConfig, JobSpec, Priority};

@@ -18,8 +18,7 @@
 //! only pays the cheap per-geometry derivation — the speedup measured by
 //! `eod bench-engine`.
 
-use eod_clrt::prelude::*;
-// Explicit import outranks the glob: restore the two-parameter Result.
+use eod_core::recorded::model_only_run;
 use eod_core::sizes::ProblemSize;
 use eod_devsim::cache::HierarchyCounts;
 use eod_devsim::catalog::{DeviceId, CATALOG};
@@ -31,7 +30,6 @@ use eod_devsim::stackdist::{
 use eod_telemetry::span::{Span, Track};
 use eod_telemetry::TraceSink;
 use serde::Serialize;
-use std::result::Result;
 use std::sync::Mutex;
 
 /// Steady-state miss ratios of one benchmark × size on the Skylake
@@ -73,31 +71,22 @@ pub fn synthesize_pass(profile: &KernelProfile, cap_bytes: u64) -> TracePass {
     TracePass::new(profile.pattern, profile.working_set, cap_bytes)
 }
 
-/// Extract the iteration's dominant kernel profile for `benchmark × size`
-/// by replaying one iteration on the simulated Skylake (profiles only, no
-/// result buffers).
-pub fn group_profile(
+/// The dominant (largest working set) kernel profile of one iteration of
+/// `benchmark × size`, read from the group's recorded run — recorded
+/// without executing a kernel if no group has run it yet.
+fn dominant_profile(
     benchmark: &str,
     size: ProblemSize,
     seed: u64,
 ) -> Result<KernelProfile, String> {
     let bench = eod_dwarfs::registry::benchmark_by_name(benchmark)
         .ok_or_else(|| format!("unknown benchmark {benchmark}"))?;
-    let device = Platform::simulated()
-        .device_by_name("i7-6700K")
-        .expect("catalog device");
-    let ctx = Context::new(device);
-    let queue = CommandQueue::new(&ctx).with_profiling();
-    let mut w = bench.workload(size, seed);
-    w.setup(&ctx, &queue).map_err(|e| e.to_string())?;
-    // Replay: we only need profiles, not results.
-    queue.set_replay(true);
-    let out = w.run_iteration(&queue).map_err(|e| e.to_string())?;
-    out.events
-        .iter()
-        .filter_map(|e| e.profile.clone())
+    let run = model_only_run(bench.as_ref(), size, seed)?;
+    let dominant = run
+        .profiles()
         .max_by(|a, b| a.working_set.cmp(&b.working_set))
-        .ok_or_else(|| "no kernel events".to_string())
+        .ok_or_else(|| "no kernel events".to_string())?;
+    Ok(dominant.clone())
 }
 
 /// Warm-pass miss ratios in the §4.4 vocabulary plus the resolved level.
@@ -136,7 +125,7 @@ pub fn verify_group_with(
     seed: u64,
     engine: CacheEngine,
 ) -> Result<CacheVerification, String> {
-    let profile = group_profile(benchmark, size, seed)?;
+    let profile = dominant_profile(benchmark, size, seed)?;
     let counts = two_pass_counts(
         engine,
         profile.pattern,
@@ -203,7 +192,7 @@ pub fn device_sweep(
     sink: Option<&TraceSink>,
 ) -> Result<DeviceSweep, String> {
     use rayon::prelude::*;
-    let profile = group_profile(benchmark, size, seed)?;
+    let profile = dominant_profile(benchmark, size, seed)?;
     let cache = HistogramCache::global();
     let slots: Vec<Mutex<Option<DeviceCacheRow>>> =
         CATALOG.iter().map(|_| Mutex::new(None)).collect();

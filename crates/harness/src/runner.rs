@@ -15,13 +15,19 @@
 //! interpreted in *modeled device time* (that is the clock being sampled),
 //! and after the first iteration of a group has been executed for real and
 //! verified against the serial reference, the remaining iterations run in
-//! replay mode — identical modeled timing, no redundant recomputation — so
-//! the full figure set regenerates in minutes. `RunnerConfig::paper()`
-//! keeps the paper's exact constants; `RunnerConfig::quick()` scales the
-//! floor down for tests.
+//! replay mode — identical modeled timing, no redundant recomputation.
+//! That one real execution is also shared across devices: nothing a
+//! simulated group executes depends on its device, so the first group to
+//! run a (benchmark, size, seed) records what it asked of its queue, and
+//! every later group with that key on any device is the record priced on
+//! its own queue ([`eod_core::recorded`]) — same clock advances, same
+//! noise draws, no workload constructed. The full figure set regenerates
+//! in seconds. `RunnerConfig::paper()` keeps the paper's exact constants;
+//! `RunnerConfig::quick()` scales the floor down for tests.
 
 use eod_clrt::prelude::*;
 use eod_core::benchmark::Benchmark;
+use eod_core::recorded::Source;
 use eod_core::sizes::ProblemSize;
 use eod_core::spec::ExecConfig;
 use eod_devsim::catalog::DeviceId;
@@ -192,7 +198,9 @@ pub struct GroupResult {
     pub class: String,
     /// Sample means of kernel time, in milliseconds (one per sample).
     pub kernel_ms: Vec<f64>,
-    /// Host setup wall time, milliseconds.
+    /// Host setup wall time, milliseconds — measured by the group that
+    /// executed this workload (this one, or the one whose recorded run
+    /// this group was priced from).
     pub setup_ms: f64,
     /// Input transfer time, milliseconds.
     pub transfer_ms: f64,
@@ -286,6 +294,14 @@ impl Runner {
     /// what ran on the device before. This is what lets the execution
     /// service cache results and still return exactly what a direct
     /// single-group run produces.
+    ///
+    /// On a simulated device the group executes only if no group in this
+    /// process has executed the same (benchmark, size, seed) under the
+    /// same backend and kernel path; otherwise it prices that group's
+    /// recorded run on `device` — every modeled field is bit-identical to
+    /// a live run's, `setup_ms` is the set-up time the recording measured,
+    /// and a recording still in flight is waited for within this group's
+    /// own [`RunnerConfig::timeout`]. The native device always executes.
     pub fn run_group(
         &self,
         benchmark: &dyn Benchmark,
@@ -306,11 +322,6 @@ impl Runner {
             Some((at, limit)) if Instant::now() >= at => Err(RunnerError::TimedOut { limit }),
             _ => Ok(()),
         };
-        let ctx = Context::new(device.clone());
-        let queue = CommandQueue::new(&ctx).with_profiling();
-        if let Some(sink) = &self.trace {
-            queue.set_trace(Some(Arc::clone(sink)));
-        }
         let trace = self.trace.as_deref();
         // Declared before the phase guards so it drops (and records) last:
         // the group span encloses every phase span on the host track.
@@ -319,16 +330,39 @@ impl Runner {
             g.arg("device", device.name());
             g
         });
-        let mut workload = benchmark.workload(size, self.config.seed);
-        let footprint_bytes = workload.footprint_bytes();
+        // What the phases below iterate: the live workload, or — when some
+        // group has already executed this (benchmark, size, seed) — its
+        // recorded run, priced on this device's queue. A recording in
+        // flight is waited for, within this group's own budget.
+        let model_only = !self.config.real_execution && !device.is_native();
+        let verify = self.config.verify && !model_only;
+        let Some(mut source) = Source::acquire(
+            benchmark,
+            size,
+            self.config.seed,
+            verify,
+            &device,
+            deadline.map(|(at, _)| at),
+        ) else {
+            let (_, limit) = deadline.expect("only a passed deadline ends the wait");
+            return Err(RunnerError::TimedOut { limit });
+        };
+        if let Some(g) = group_span.as_mut() {
+            g.arg("log", source.origin());
+        }
+        let ctx = source.context(device.clone());
+        let queue = CommandQueue::new(&ctx).with_profiling();
+        if let Some(sink) = &self.trace {
+            queue.set_trace(Some(Arc::clone(sink)));
+        }
+        let footprint_bytes = source.footprint_bytes();
 
         // Host setup + transfers.
         let mut regions = RegionLog::new();
-        let setup_wall = Instant::now();
         let setup_events = {
             let mut g = trace.map(|s| s.host_span("setup"));
-            let ev = workload
-                .setup(&ctx, &queue)
+            let ev = source
+                .setup(&queue)
                 .map_err(|e| RunnerError::Infra(e.to_string()))?;
             if let Some(g) = g.as_mut() {
                 g.arg("transfers", ev.len());
@@ -336,22 +370,24 @@ impl Runner {
             ev
         };
         check_deadline()?;
-        let setup_ms = setup_wall.elapsed().as_secs_f64() * 1e3;
+        // One reading serves both reports; on a priced group it is the
+        // time set-up took when it was recorded.
+        let host_setup = source.host_setup();
+        let setup_ms = host_setup.as_secs_f64() * 1e3;
         let transfer_ms: f64 = setup_events.iter().map(|e| e.millis()).sum();
-        regions.record(Region::HostSetup, setup_wall.elapsed());
+        regions.record(Region::HostSetup, host_setup);
         for e in &setup_events {
             regions.record(Region::MemoryTransfer, e.duration());
         }
 
         // First iteration: executed for real (unless this group is marked
         // model-only on a simulated device); optionally verified.
-        let model_only = !self.config.real_execution && !device.is_native();
         if model_only {
             queue.set_replay(true);
         }
         let first = {
             let _g = trace.map(|s| s.host_span("first_iteration"));
-            workload
+            source
                 .run_iteration(&queue)
                 .map_err(|e| RunnerError::Infra(e.to_string()))?
         };
@@ -365,9 +401,9 @@ impl Runner {
                 have_counters = true;
             }
         }
-        let verified = if self.config.verify && !model_only {
+        if verify {
             let _g = trace.map(|s| s.host_span("verify"));
-            workload.verify(&queue).map_err(|e| {
+            source.verify(&queue).map_err(|e| {
                 RunnerError::VerificationFailed(format!(
                     "{} {} on {}: {e}",
                     benchmark.name(),
@@ -375,10 +411,7 @@ impl Runner {
                     device.name()
                 ))
             })?;
-            true
-        } else {
-            false
-        };
+        }
 
         // Timing loop in replay mode (no-op on the native backend).
         queue.set_replay(true);
@@ -404,7 +437,7 @@ impl Runner {
             let loop_start_wall = Instant::now();
             loop {
                 check_deadline()?;
-                let out = workload
+                let out = source
                     .run_iteration(&queue)
                     .map_err(|e| RunnerError::Infra(e.to_string()))?;
                 iters += 1;
@@ -472,7 +505,7 @@ impl Runner {
             counters: have_counters.then_some(counters_acc),
             energy_j: power_model.is_some().then_some(energy_samples),
             footprint_bytes,
-            verified,
+            verified: verify,
             regions,
         })
     }

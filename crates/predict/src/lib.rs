@@ -12,13 +12,15 @@
 //!
 //! ## How a prediction is made
 //!
-//! 1. **Profile extraction.** The benchmark's workload is set up once on
-//!    a reference simulated device, then one iteration is replayed with
-//!    [`CommandQueue::set_replay`] — the functional kernel body is
-//!    skipped but every launch still yields its [`KernelProfile`]
-//!    (flops, bytes, working set, access pattern). Profiles describe the
-//!    *kernel*, not the device, so one extraction serves every catalog
-//!    device.
+//! 1. **Profiles from the recorded run.** Every launch of the workload's
+//!    first iteration reports a [`KernelProfile`] (flops, bytes, working
+//!    set, access pattern); profiles describe the *kernel*, not the
+//!    device, so one recording serves every catalog device. The predictor
+//!    reads them from the same [`RecordedRun`] the runner prices
+//!    ([`eod_core::recorded`]): if some group has already executed this
+//!    (benchmark, size, seed) its log is the answer, otherwise the
+//!    workload is set up once on a reference device and iterated in
+//!    replay mode — no kernel body runs — and that log is stored.
 //! 2. **Per-device sweep.** For each catalog device,
 //!    [`DeviceModel::predict`] converts each profile into a cost
 //!    breakdown and [`PowerModel`] into energy; runtimes and energies
@@ -39,8 +41,9 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use eod_clrt::{CommandQueue, Context, Platform};
-use eod_core::{JobSpec, Prediction, PredictionSet, ProfileProvenance};
+use eod_core::{
+    model_only_run, JobSpec, Prediction, PredictionSet, ProfileProvenance, RecordedRun,
+};
 use eod_devsim::model::MemTier;
 use eod_devsim::stackdist::{
     default_engine, two_pass_counts_traced, CountsSource, DEFAULT_TRACE_CAP,
@@ -50,10 +53,7 @@ use eod_devsim::{
 };
 use eod_telemetry::{Counter, Histogram, Registry, LATENCY_BUCKETS};
 
-/// The simulated device profiles are extracted on. Any catalog device
-/// works — profiles are device-independent — but pinning one keeps the
-/// extraction path deterministic and its documentation honest.
-pub const REFERENCE_DEVICE: &str = "i7-6700K";
+pub use eod_core::recorded::REFERENCE_DEVICE;
 
 /// Steady-state miss ratio below which a cache level is considered the
 /// working set's home tier.
@@ -233,11 +233,13 @@ impl Predictor {
     }
 
     fn predict_uncached(&self, spec: &JobSpec) -> Result<PredictionSet, PredictError> {
-        let profiles = extract_profiles(spec)?;
-        let dominant = profiles
-            .iter()
+        let run = recorded_run(spec)?;
+        let dominant = run
+            .profiles()
             .max_by_key(|p| p.working_set)
-            .expect("extract_profiles returned at least one profile");
+            .ok_or_else(|| {
+                PredictError::Workload("iteration produced no kernel profiles".into())
+            })?;
 
         let mut predictions: Vec<Prediction> = DeviceModel::all()
             .iter()
@@ -246,7 +248,7 @@ impl Predictor {
                 let power = PowerModel::for_device(dev);
                 let mut runtime_s = 0.0;
                 let mut energy_j = 0.0;
-                for profile in &profiles {
+                for profile in run.profiles() {
                     let cost = model.predict(profile);
                     runtime_s += cost.total_s;
                     energy_j += power.kernel_energy(&cost);
@@ -294,9 +296,11 @@ impl Default for Predictor {
     }
 }
 
-/// Extract the per-launch kernel profiles for one iteration of the
-/// spec's workload, using replay mode so no functional kernel body runs.
-fn extract_profiles(spec: &JobSpec) -> Result<Vec<KernelProfile>, PredictError> {
+/// The recorded run of the spec's workload: whichever group executed it
+/// first left it in the log; otherwise it is recorded now on the
+/// reference device, set up for real and iterated in replay mode so no
+/// kernel body runs.
+fn recorded_run(spec: &JobSpec) -> Result<Arc<RecordedRun>, PredictError> {
     let bench = eod_dwarfs::registry::benchmark_by_name(&spec.benchmark)
         .ok_or_else(|| PredictError::UnknownBenchmark(spec.benchmark.clone()))?;
     if !bench.supported_sizes().contains(&spec.size) {
@@ -305,32 +309,7 @@ fn extract_profiles(spec: &JobSpec) -> Result<Vec<KernelProfile>, PredictError> 
             size: spec.size.label().to_string(),
         });
     }
-    let device = Platform::simulated()
-        .device_by_name(REFERENCE_DEVICE)
-        .expect("reference device is in the catalog");
-    let ctx = Context::new(device);
-    let queue = CommandQueue::new(&ctx).with_profiling();
-    let mut workload = bench.workload(spec.size, spec.config.seed);
-    workload
-        .setup(&ctx, &queue)
-        .map_err(|e| PredictError::Workload(e.to_string()))?;
-    // Setup must run for real (kernels read the buffers it wrote); only
-    // the measured iteration is replayed.
-    queue.set_replay(true);
-    let out = workload
-        .run_iteration(&queue)
-        .map_err(|e| PredictError::Workload(e.to_string()))?;
-    let profiles: Vec<KernelProfile> = out
-        .events
-        .iter()
-        .filter_map(|e| e.profile.clone())
-        .collect();
-    if profiles.is_empty() {
-        return Err(PredictError::Workload(
-            "iteration produced no kernel profiles".into(),
-        ));
-    }
-    Ok(profiles)
+    model_only_run(bench.as_ref(), spec.size, spec.config.seed).map_err(PredictError::Workload)
 }
 
 /// Run the dominant profile through the memoized cache engine for this

@@ -10,6 +10,7 @@
 //! double-counted here.
 
 use crate::cache::CacheStats;
+use eod_core::recorded::RunLogStats;
 use eod_core::spec::Priority;
 use eod_telemetry::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS};
 use std::sync::Arc;
@@ -249,6 +250,32 @@ impl Default for ServiceMetrics {
     }
 }
 
+/// The `eod_run_log_*` series: occupancy and traffic of the recorded-run
+/// store ([`eod_core::recorded::RunLog`]) the runner prices groups from.
+/// The store keeps its own counts, so this mirrors them into a registry
+/// built for the scrape.
+pub fn run_log_text(stats: &RunLogStats) -> String {
+    let r = Registry::new();
+    r.gauge("eod_run_log_entries", "Recorded runs held by the run log.")
+        .set(stats.entries as f64);
+    r.gauge(
+        "eod_run_log_bytes",
+        "Bytes of recorded commands held by the run log.",
+    )
+    .set(stats.bytes as f64);
+    r.counter(
+        "eod_run_log_hits_total",
+        "Simulated groups priced from a run another group recorded.",
+    )
+    .mirror(stats.hits as f64);
+    r.counter(
+        "eod_run_log_misses_total",
+        "Simulated groups that executed live and recorded their run.",
+    )
+    .mirror(stats.misses as f64);
+    r.render()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,5 +352,25 @@ mod tests {
         let text = m.render((0, 0), 1, &stats(), 1);
         assert!(text.contains("eod_job_latency_seconds_count 0\n"));
         assert!(text.contains("eod_jobs_completed_total{state=\"done\"} 0\n"));
+    }
+
+    #[test]
+    fn run_log_series_mirror_the_store() {
+        let text = run_log_text(&RunLogStats {
+            entries: 21,
+            bytes: 300_000,
+            hits: 261,
+            misses: 21,
+        });
+        for line in [
+            "# TYPE eod_run_log_entries gauge",
+            "eod_run_log_entries 21\n",
+            "eod_run_log_bytes 300000\n",
+            "# TYPE eod_run_log_hits_total counter",
+            "eod_run_log_hits_total 261\n",
+            "eod_run_log_misses_total 21\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in {text}");
+        }
     }
 }

@@ -492,8 +492,9 @@ impl Service {
 
     /// The full metric surface in Prometheus text exposition format —
     /// answers both the protocol's `Metrics` request and `GET /metrics`.
-    /// The predictor's `eod_predict_*` series and the device simulator's
-    /// `eod_devsim_histogram_cache_*` gauges are always appended; in
+    /// The predictor's `eod_predict_*` series, the device simulator's
+    /// `eod_devsim_histogram_cache_*` gauges and the recorded-run store's
+    /// `eod_run_log_*` series are always appended; in
     /// fleet mode the coordinator's registry (per-worker utilization and
     /// heartbeat-age gauges, retry/failover/straggler counters, and the
     /// per-policy `eod_fleet_placements_total` counter) is appended too.
@@ -506,6 +507,9 @@ impl Service {
         );
         text.push_str(&self.predictor.metrics_text());
         text.push_str(&eod_devsim::HistogramCache::global().metrics_text());
+        text.push_str(&crate::metrics::run_log_text(
+            &eod_core::recorded::RunLog::global().stats(),
+        ));
         let coord = self.fleet.lock().unwrap().clone();
         if let Some(coord) = coord {
             text.push_str(&coord.metrics_text());
