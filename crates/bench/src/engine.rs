@@ -357,27 +357,29 @@ fn predict_warm_metric(budget: Duration) -> EngineMetric {
     }
 }
 
-/// Steady-state item throughput for one ported workload under one NativeCpu
-/// kernel path. `items_per_iter` is the number of work-items one
-/// `run_iteration` processes; amortizing repeats inside a launch are not
-/// counted — both paths repeat identically, and the scalar/vectorized ratio
-/// is the point of these rows.
+/// Steady-state item throughput for one ported workload through its
+/// per-item body (`scalar`, on the reference queue) or the queue's default
+/// dispatch (`vectorized`). `items_per_iter` is the number of work-items
+/// one `run_iteration` processes; amortizing repeats inside a launch are
+/// not counted — both paths repeat identically, and the scalar/vectorized
+/// ratio is the point of these rows.
 fn workload_items_metric(
     name: &str,
-    path: eod_clrt::backend::KernelPath,
+    scalar: bool,
     items_per_iter: f64,
     mut workload: Box<dyn eod_core::benchmark::Workload>,
     budget: Duration,
 ) -> EngineMetric {
-    use eod_clrt::backend::{set_default_kernel_path, KernelPath};
-    set_default_kernel_path(path);
     let ctx = Context::new(Device::native());
-    let queue = CommandQueue::new(&ctx);
+    let queue = if scalar {
+        CommandQueue::per_item_reference(&ctx)
+    } else {
+        CommandQueue::new(&ctx)
+    };
     workload.setup(&ctx, &queue).expect("setup");
     let (iterations, elapsed_s) = measure_every(budget, || {
         workload.run_iteration(&queue).expect("iteration");
     });
-    set_default_kernel_path(KernelPath::Vectorized);
     EngineMetric {
         name: name.to_string(),
         unit: "items_per_s".to_string(),
@@ -391,17 +393,15 @@ fn workload_items_metric(
 /// ported to `KernelBody::Vectorized`: kmeans (small), srad (medium),
 /// gem (2D3V), and the synth STREAM/roofline probes at 4 MiB.
 fn kernel_path_metrics(budget: Duration) -> Vec<EngineMetric> {
-    use eod_clrt::backend::KernelPath;
     use eod_core::sizes::ProblemSize;
     use eod_dwarfs::{gem, kmeans, srad};
     use eod_synth::{roofline::RooflineWorkload, stream::StreamWorkload, SynthFamily, SynthSpec};
     let mut out = Vec::new();
-    for path in [KernelPath::Scalar, KernelPath::Vectorized] {
-        let suffix = path.label();
+    for (scalar, suffix) in [(true, "scalar"), (false, "vectorized")] {
         let kp = kmeans::KmeansParams::for_size(ProblemSize::Small);
         out.push(workload_items_metric(
             &format!("items_kmeans_{suffix}"),
-            path,
+            scalar,
             kp.points as f64,
             Box::new(kmeans::KmeansWorkload::new(kp, 5)),
             budget,
@@ -409,7 +409,7 @@ fn kernel_path_metrics(budget: Duration) -> Vec<EngineMetric> {
         let sp = srad::SradParams::for_size(ProblemSize::Medium);
         out.push(workload_items_metric(
             &format!("items_srad_{suffix}"),
-            path,
+            scalar,
             (sp.cells() * 2) as f64, // two kernels per iteration
             Box::new(srad::SradWorkload::new(sp, 5)),
             budget,
@@ -417,7 +417,7 @@ fn kernel_path_metrics(budget: Duration) -> Vec<EngineMetric> {
         let (_, nv) = gem::split_for_footprint(252 * 1024); // 2D3V
         out.push(workload_items_metric(
             &format!("items_gem_{suffix}"),
-            path,
+            scalar,
             nv as f64,
             Box::new(gem::GemWorkload::new("2D3V", 252.0, 5)),
             budget,
@@ -426,7 +426,7 @@ fn kernel_path_metrics(budget: Duration) -> Vec<EngineMetric> {
         let stream_items = (sw.elems() * 4) as f64; // copy+scale+add+triad
         out.push(workload_items_metric(
             &format!("items_stream_{suffix}"),
-            path,
+            scalar,
             stream_items,
             Box::new(sw),
             budget,
@@ -439,7 +439,7 @@ fn kernel_path_metrics(budget: Duration) -> Vec<EngineMetric> {
         let roofline_items = rw.elems() as f64;
         out.push(workload_items_metric(
             &format!("items_roofline_{suffix}"),
-            path,
+            scalar,
             roofline_items,
             Box::new(rw),
             budget,

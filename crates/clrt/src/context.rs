@@ -112,17 +112,21 @@ impl Context {
         self.allocated_bytes() as f64 / 1024.0
     }
 
-    /// Meter `bytes` more: reserve, then ask the backend to admit the
-    /// allocation (the default enforces device capacity); back out on
+    /// Meter `bytes` more: reserve, then check the device's global memory
+    /// capacity (the paper's §4.4 footprint discipline); back out on
     /// refusal. Live allocations and recorded ones both come through here,
     /// so a recorded allocation sequence is refused on a device exactly
     /// where the live one would be.
     pub(crate) fn admit(&self, bytes: u64) -> Result<()> {
         let prev = self.meter.allocated.fetch_add(bytes, Ordering::Relaxed);
-        let backend = crate::backend::default_backend().instance();
-        if let Err(e) = backend.preflight_alloc(&self.device, bytes, prev) {
+        let capacity = self.device.global_mem_bytes();
+        if prev + bytes > capacity {
             self.meter.allocated.fetch_sub(bytes, Ordering::Relaxed);
-            return Err(e);
+            return Err(Error::OutOfDeviceMemory {
+                requested: bytes,
+                allocated: prev,
+                capacity,
+            });
         }
         self.meter.record(|| Command::Alloc { bytes });
         Ok(())

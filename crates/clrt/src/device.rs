@@ -14,13 +14,14 @@
 //!   regenerates the paper's figures.
 //!
 //! The timing source is a per-device property; *how* kernels execute on
-//! the host is the orthogonal [`crate::backend::Backend`] seam.
+//! the host is the queue's one dispatcher, the same for every device.
 
 use eod_devsim::catalog::DeviceId;
 use eod_devsim::energy::PowerModel;
 use eod_devsim::model::{DeviceModel, KernelCost};
 use eod_devsim::noise::NoiseModel;
 use eod_devsim::profile::KernelProfile;
+use eod_devsim::stackdist::CacheEngine;
 use eod_devsim::transfer::TransferModel;
 use eod_scibench::counters::CounterValues;
 use parking_lot::Mutex;
@@ -55,14 +56,11 @@ impl SimBackend {
         cost
     }
 
-    /// Synthesized counters for an invocation, via the session's selected
-    /// cache engine (`--cache-engine`; stack-distance by default).
+    /// Synthesized counters for an invocation, via the stack-distance
+    /// cache engine.
     pub fn counters(&self, profile: &KernelProfile, cost: &KernelCost) -> CounterValues {
-        self.model.synthesize_counters_engine(
-            profile,
-            cost,
-            eod_devsim::stackdist::default_engine(),
-        )
+        self.model
+            .synthesize_counters_engine(profile, cost, CacheEngine::StackDistance)
     }
 
     /// Restart the noise stream from `seed`.

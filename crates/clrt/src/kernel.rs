@@ -28,32 +28,32 @@ pub trait Kernel: Sync {
     /// read-modify-write helpers.
     fn run_group(&self, group: &WorkGroup);
 
-    /// How the backend may execute this kernel. Defaults to the per-item
+    /// How the queue may execute this kernel. Defaults to the per-item
     /// work-group loop; regular elementwise kernels return
     /// [`KernelBody::Vectorized`] to opt into the slice-level fast path
-    /// (see [`crate::vecops`]). The scalar path must always stay correct —
-    /// it is the fallback on every backend and the reference the
-    /// equivalence tests compare against.
+    /// (see [`crate::vecops`]). The per-item path must always stay correct:
+    /// it is the reference the equivalence tests compare against
+    /// ([`CommandQueue::per_item_reference`](crate::queue::CommandQueue::per_item_reference)).
     fn body(&self) -> KernelBody<'_> {
         KernelBody::PerItem
     }
 }
 
-/// The execution shape a kernel exposes to the backend.
+/// The execution shape a kernel exposes to the queue.
 pub enum KernelBody<'a> {
     /// Execute via [`Kernel::run_group`], one work-item at a time. The
     /// fallback for irregular dwarfs (nw, nqueens, csr) whose inner loops
     /// don't flatten to contiguous slices.
     PerItem,
     /// Execute via [`VectorizedBody::run_span`] over flat element spans.
-    /// The backend must produce bit-identical results on either variant;
-    /// the launch-time kernel-path switch picks which one runs.
+    /// Results must be bit-identical to the per-item body's; the queue
+    /// always takes this one.
     Vectorized(&'a dyn VectorizedBody),
 }
 
 /// Slice-level execution over a flat element domain.
 ///
-/// The backend partitions `0..domain()` into spans aligned to
+/// The dispatcher partitions `0..domain()` into spans aligned to
 /// `granularity()` and calls [`run_span`](Self::run_span) for each —
 /// sequentially when the launch is inline, from worker threads otherwise.
 /// Implementations must make each span's writes independent of how the
@@ -76,6 +76,25 @@ pub trait VectorizedBody: Sync {
     /// Execute all elements in `span` (a subrange of `0..domain()`, aligned
     /// to `granularity()` except possibly at `domain()` itself).
     fn run_span(&self, span: Range<usize>);
+}
+
+/// A kernel seen through its per-item body only: [`Kernel::body`] is
+/// [`KernelBody::PerItem`] whatever the wrapped kernel exposes. The
+/// reference queue wraps every launch in it.
+pub(crate) struct PerItem<'a>(pub(crate) &'a dyn Kernel);
+
+impl Kernel for PerItem<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn profile(&self) -> KernelProfile {
+        self.0.profile()
+    }
+
+    fn run_group(&self, group: &WorkGroup) {
+        self.0.run_group(group);
+    }
 }
 
 /// A kernel defined by a per-work-item closure.

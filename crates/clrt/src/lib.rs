@@ -17,14 +17,13 @@
 //!   plus its measurement-noise model, and hardware counters are synthesized
 //!   to match.
 //!
-//! Orthogonal to the per-device timing source, a pluggable execution
-//! [`backend::Backend`] owns device enumeration, allocation admission,
-//! kernel launch, and event timing: [`backend::NativeCpu`] (threaded, with
-//! a slice-level vectorized fast path for kernels exposing a
-//! [`kernel::KernelBody::Vectorized`] body over the [`vecops`] primitives)
-//! and [`backend::DevsimReplay`] (sequential inline, for model-timed
-//! replay). A future real-OpenCL backend slots in behind the same trait
-//! without touching a single kernel.
+//! Orthogonal to the per-device timing source, every launch goes through
+//! one host dispatcher: kernels exposing a
+//! [`kernel::KernelBody::Vectorized`] body over the [`vecops`] primitives
+//! take the slice-level fast path, the rest the per-item work-group loop.
+//! A real-OpenCL port would replace two seams and no kernel: device
+//! discovery ([`platform::Platform::all`]) and launch (the queue's
+//! dispatch).
 //!
 //! Device memory is modeled soundly: a [`buffer::Buffer`] stores scalars as
 //! relaxed atomics (free on x86-64: a relaxed load/store compiles to a plain
@@ -35,9 +34,9 @@
 //! that exploits the bit-compatibility of each scalar with its atomic cell
 //! (see [`scalar::Scalar::LAYOUT_COMPAT`]), and vectorized kernels borrow
 //! their spans zero-copy ([`buffer::BufView::slice`]/
-//! [`buffer::BufView::slice_mut`]). Kernel dispatch is adaptive
-//! ([`queue::DispatchMode`]): small launches run inline, large ones fan out
-//! by group index with no per-launch allocation.
+//! [`buffer::BufView::slice_mut`]). Kernel dispatch is adaptive: small
+//! launches run inline, large ones fan out by group index with no
+//! per-launch allocation.
 //!
 //! ```
 //! use eod_clrt::prelude::*;
@@ -64,7 +63,7 @@
 //! assert!(out.iter().all(|&v| v == 4.0));
 //! ```
 
-pub mod backend;
+mod backend;
 pub mod buffer;
 pub mod context;
 pub mod device;
@@ -80,10 +79,6 @@ pub mod vecops;
 
 /// Everything a benchmark host program needs.
 pub mod prelude {
-    pub use crate::backend::{
-        default_backend, default_kernel_path, set_default_backend, set_default_kernel_path,
-        Backend, BackendKind, KernelPath,
-    };
     pub use crate::buffer::{BufView, Buffer};
     pub use crate::context::Context;
     pub use crate::device::{Device, Timing};
@@ -92,7 +87,7 @@ pub mod prelude {
     pub use crate::kernel::{ClosureKernel, Kernel, KernelBody, VectorizedBody};
     pub use crate::ndrange::{NdRange, WorkGroup, WorkItem};
     pub use crate::platform::Platform;
-    pub use crate::queue::{CommandQueue, DispatchMode};
+    pub use crate::queue::CommandQueue;
     pub use crate::record::Command;
     pub use crate::scalar::Scalar;
 }

@@ -6,57 +6,41 @@
 //! command with `QUEUED`/`SUBMIT`/`START`/`END` timestamps on the queue's
 //! clock.
 //!
-//! How a launch executes is the queue's [`crate::backend::Backend`]
-//! (snapshotted from the process-wide default at queue creation): the
-//! native backend schedules work-groups adaptively — small launches run
-//! inline on the calling thread (skipping the Rayon fork-join, which
-//! would cost more than the kernel), larger ones fan work-groups out
-//! across host threads by *index* with no `Vec<WorkGroup>` ever
-//! materialized, the same decomposition Intel's OpenCL CPU runtime
-//! applies — and takes the slice-level vectorized path for kernels that
-//! expose one. Work-items within a group always run in local-id order.
-//! Simulated devices execute identically (results must be real) but are
-//! *timed* by the `eod-devsim` model, with the queue clock advancing in
-//! modeled time; neither the scheduling choice nor the backend can ever
-//! perturb modeled time.
+//! Every launch goes through one dispatcher: kernels that expose a
+//! [`KernelBody::Vectorized`] body take the slice-level path, the rest the
+//! per-item work-group loop. Both schedule adaptively — small launches run
+//! inline on the calling thread (skipping the Rayon fork-join, which would
+//! cost more than the kernel), larger ones fan out across host threads by
+//! *index* with no `Vec<WorkGroup>` ever materialized, the same
+//! decomposition Intel's OpenCL CPU runtime applies. Work-items within a
+//! group always run in local-id order. Simulated devices execute
+//! identically (results must be real) but are *timed* by the `eod-devsim`
+//! model, with the queue clock advancing in modeled time; how a launch was
+//! scheduled can never perturb modeled time.
 
-use crate::backend::{default_backend, BackendKind};
+use crate::backend::{adaptive_inline, run_groups, run_vectorized};
 use crate::buffer::Buffer;
 use crate::context::Context;
 use crate::device::{Device, SimBackend, Timing};
 use crate::error::{Error, Result};
 use crate::event::{CommandKind, Event};
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, KernelBody, PerItem};
 use crate::ndrange::NdRange;
 use crate::record::Command;
 use crate::scalar::Scalar;
 use eod_devsim::profile::KernelProfile;
 use eod_telemetry::{Span, TraceSink, Track};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How `enqueue_kernel` maps work-groups onto host threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum DispatchMode {
-    /// Inline for small launches, parallel-by-index otherwise (default).
-    #[default]
-    Adaptive = 0,
-    /// Always run groups sequentially on the calling thread.
-    Inline = 1,
-    /// Always fan groups out over the thread pool.
-    Parallel = 2,
-}
 
 /// An in-order command queue with optional profiling.
 pub struct CommandQueue {
     ctx: Context,
     profiling: bool,
-    /// Which execution backend launches kernels (a [`BackendKind`]
-    /// discriminant), snapshotted from [`default_backend`] at creation.
-    backend: AtomicU8,
+    /// Run every launch through its per-item body (the reference queue).
+    per_item: bool,
     /// Queue clock in seconds, stored as `f64` bits so advancing it is a
     /// CAS instead of a mutex acquisition: wall-anchored for native,
     /// modeled for simulated devices. Monotone non-decreasing, so the
@@ -65,8 +49,6 @@ pub struct CommandQueue {
     /// Replay mode (simulated devices only): skip functional re-execution of
     /// kernels and advance modeled time only. See [`CommandQueue::set_replay`].
     replay: AtomicBool,
-    /// Work-group scheduling policy (a [`DispatchMode`] discriminant).
-    dispatch: AtomicU8,
     /// Lock-free "is a sink attached?" flag mirroring `trace`, so the
     /// per-command fast path is one relaxed load instead of a mutex.
     trace_attached: AtomicBool,
@@ -82,44 +64,24 @@ impl CommandQueue {
         Self {
             ctx: ctx.clone(),
             profiling: false,
-            backend: AtomicU8::new(default_backend() as u8),
+            per_item: false,
             clock: AtomicU64::new(0.0f64.to_bits()),
             replay: AtomicBool::new(false),
-            dispatch: AtomicU8::new(DispatchMode::Adaptive as u8),
             trace_attached: AtomicBool::new(false),
             trace: Mutex::new(None),
         }
     }
 
-    /// Override the work-group scheduling policy. [`DispatchMode::Adaptive`]
-    /// is right for production; the fixed modes exist for benchmarking the
-    /// dispatcher itself and for determinism tests (results must be
-    /// byte-identical under every mode).
-    pub fn set_dispatch_mode(&self, mode: DispatchMode) {
-        self.dispatch.store(mode as u8, Ordering::Relaxed);
-    }
-
-    /// The current scheduling policy.
-    pub fn dispatch_mode(&self) -> DispatchMode {
-        match self.dispatch.load(Ordering::Relaxed) {
-            1 => DispatchMode::Inline,
-            2 => DispatchMode::Parallel,
-            _ => DispatchMode::Adaptive,
-        }
-    }
-
-    /// Override this queue's execution backend (tests and equivalence
-    /// harnesses; production queues inherit the process-wide default).
-    pub fn set_backend(&self, kind: BackendKind) {
-        self.backend.store(kind as u8, Ordering::Relaxed);
-    }
-
-    /// The execution backend this queue launches kernels on.
-    pub fn backend_kind(&self) -> BackendKind {
-        if self.backend.load(Ordering::Relaxed) == BackendKind::Devsim as u8 {
-            BackendKind::Devsim
-        } else {
-            BackendKind::Native
+    /// **Reference only.** A queue that runs every launch through the
+    /// kernel's per-item body ([`Kernel::run_group`]), ignoring any
+    /// vectorized one. It exists so equivalence tests and the
+    /// scalar-versus-vectorized bench rows can compare the two bodies of
+    /// one kernel; nothing in the product constructs it, and no flag,
+    /// config field or environment variable reaches it.
+    pub fn per_item_reference(ctx: &Context) -> Self {
+        Self {
+            per_item: true,
+            ..Self::new(ctx)
         }
     }
 
@@ -133,7 +95,7 @@ impl CommandQueue {
     /// noise stream. This keeps figure regeneration at `large` problem
     /// sizes tractable without weakening correctness checks (the first
     /// iteration of every run is always executed for real). Replay is a
-    /// no-op on the native backend, where timing *is* the execution.
+    /// no-op on the native device, where timing *is* the execution.
     pub fn set_replay(&self, on: bool) {
         self.replay.store(on, Ordering::Relaxed);
     }
@@ -191,7 +153,6 @@ impl CommandQueue {
             ev.start * 1e6,
             (ev.end - ev.start).max(0.0) * 1e6,
         )
-        .with_arg("backend", self.backend_kind().label())
         .with_arg("queued_us", ev.queued * 1e6)
         .with_arg("submit_us", ev.submit * 1e6)
         .with_arg("queue_overhead_us", ev.queue_overhead().as_secs_f64() * 1e6)
@@ -259,12 +220,18 @@ impl CommandQueue {
         }
     }
 
-    /// Hand a launch to this queue's execution backend under the current
-    /// [`DispatchMode`]; returns the elapsed wall seconds.
+    /// Execute one launch on the host; returns the elapsed wall seconds.
     fn launch(&self, kernel: &dyn Kernel, range: &NdRange) -> f64 {
-        self.backend_kind()
-            .instance()
-            .launch(kernel, range, self.dispatch_mode())
+        let start = Instant::now();
+        let reference = PerItem(kernel);
+        let kernel: &dyn Kernel = if self.per_item { &reference } else { kernel };
+        match kernel.body() {
+            KernelBody::Vectorized(body) => run_vectorized(body, adaptive_inline(body.domain())),
+            KernelBody::PerItem => {
+                run_groups(kernel, range, adaptive_inline(range.global_volume()))
+            }
+        }
+        start.elapsed().as_secs_f64()
     }
 
     fn make_event(
@@ -417,13 +384,13 @@ impl CommandQueue {
         }
         self.ctx.record(|| Command::Write { bytes: buf.bytes() });
         let wall = Instant::now();
-        // SAFETY (both backends): this runtime executes commands
-        // synchronously, so no kernel previously enqueued on this queue
-        // is still running; concurrent access from other threads is
-        // excluded by the documented OpenCL-style transfer contract
-        // above. This is the crate-internal home of the bulk-copy fast
-        // path — kernels and hosts going through safe APIs get the
-        // atomic per-element path instead.
+        // SAFETY: this runtime executes commands synchronously, so no
+        // kernel previously enqueued on this queue is still running;
+        // concurrent access from other threads is excluded by the
+        // documented OpenCL-style transfer contract above. This is the
+        // crate-internal home of the bulk-copy fast path — kernels and
+        // hosts going through safe APIs get the atomic per-element path
+        // instead.
         unsafe { buf.copy_from_slice(data) };
         Ok(match self.device().timing() {
             Timing::Wall => {
@@ -450,9 +417,9 @@ impl CommandQueue {
         }
         self.ctx.record(|| Command::Read { bytes: buf.bytes() });
         let wall = Instant::now();
-        // SAFETY (both backends): as in `enqueue_write_buffer` — in-order
-        // synchronous execution means no enqueued kernel still runs, and
-        // the documented transfer contract excludes other threads.
+        // SAFETY: as in `enqueue_write_buffer` — in-order synchronous
+        // execution means no enqueued kernel still runs, and the
+        // documented transfer contract excludes other threads.
         unsafe { buf.copy_to_slice(out) };
         Ok(match self.device().timing() {
             Timing::Wall => {
@@ -681,15 +648,21 @@ mod tests {
         // Determinism acceptance: the same kernel must produce bit-identical
         // output under inline dispatch, forced parallel dispatch, and
         // replay-then-execute on a simulated device.
-        let n = 64 * 1024; // large enough that Adaptive would go parallel
+        let n = 64 * 1024; // large enough that the queue would go parallel
         let ctx = Context::new(Device::native());
-        let queue = CommandQueue::new(&ctx);
-
-        queue.set_dispatch_mode(DispatchMode::Inline);
-        let inline_bits = run_mix(&queue, &ctx, n);
-        queue.set_dispatch_mode(DispatchMode::Parallel);
-        let parallel_bits = run_mix(&queue, &ctx, n);
-        assert_eq!(inline_bits, parallel_bits, "inline vs parallel dispatch");
+        let range = NdRange::d1(n, 64);
+        let run = |inline: bool| -> Vec<u32> {
+            let out = ctx.create_buffer::<f32>(n).unwrap();
+            run_groups(&mix_kernel(&out, n), &range, inline);
+            out.to_vec().iter().map(|v| v.to_bits()).collect()
+        };
+        let inline_bits = run(true);
+        assert_eq!(inline_bits, run(false), "inline vs parallel dispatch");
+        assert_eq!(
+            inline_bits,
+            run_mix(&CommandQueue::new(&ctx), &ctx, n),
+            "the queue's adaptive dispatch"
+        );
 
         // Replay then execute on a simulated device: replay must leave the
         // buffer untouched, and the subsequent real execution must match the
@@ -700,13 +673,13 @@ mod tests {
         let out = sim_ctx.create_buffer::<f32>(n).unwrap();
         let k = mix_kernel(&out, n);
         sim_queue.set_replay(true);
-        sim_queue.enqueue_kernel(&k, &NdRange::d1(n, 64)).unwrap();
+        sim_queue.enqueue_kernel(&k, &range).unwrap();
         assert!(
             out.to_vec().iter().all(|&v| v == 0.0),
             "replay must not run"
         );
         sim_queue.set_replay(false);
-        sim_queue.enqueue_kernel(&k, &NdRange::d1(n, 64)).unwrap();
+        sim_queue.enqueue_kernel(&k, &range).unwrap();
         let replayed_bits: Vec<u32> = out.to_vec().iter().map(|v| v.to_bits()).collect();
         assert_eq!(inline_bits, replayed_bits, "replay-then-execute");
     }
@@ -757,7 +730,7 @@ mod tests {
         }
         fn run_span(&self, span: std::ops::Range<usize>) {
             // SAFETY: src is a launch input (no writers); this call
-            // exclusively owns dst[span] — the backend hands out disjoint
+            // exclusively owns dst[span] — the dispatcher hands out disjoint
             // spans.
             unsafe {
                 let src = self.src.slice(span.clone());
@@ -768,71 +741,88 @@ mod tests {
     }
 
     #[test]
-    fn backend_and_kernel_path_are_byte_equivalent() {
-        use crate::backend::{set_default_kernel_path, BackendKind, KernelPath};
+    fn per_item_and_vectorized_bodies_are_byte_equivalent() {
         let n: usize = 40_000; // not a work-group multiple: exercises the pad guard
         let ctx = Context::new(Device::native());
         let input: Vec<f32> = (0..n).map(|i| (i as f32) * 0.017 + 0.3).collect();
         let src = ctx.create_buffer_from(&input).unwrap();
         let range = NdRange::d1(n.div_ceil(64) * 64, 64);
-
-        let run = |backend: BackendKind, path: KernelPath, mode: DispatchMode| -> Vec<u32> {
-            let queue = CommandQueue::new(&ctx);
-            queue.set_backend(backend);
-            queue.set_dispatch_mode(mode);
-            set_default_kernel_path(path);
+        let run = |launch: &dyn Fn(&DualPathKernel)| -> Vec<u32> {
             let dst = ctx.create_buffer::<f32>(n).unwrap();
-            let k = DualPathKernel {
+            launch(&DualPathKernel {
                 src: src.view(),
                 dst: dst.view(),
                 n,
-            };
-            queue.enqueue_kernel(&k, &range).unwrap();
-            set_default_kernel_path(KernelPath::Vectorized);
+            });
             dst.to_vec().iter().map(|v| v.to_bits()).collect()
         };
 
-        let reference = run(
-            BackendKind::Native,
-            KernelPath::Scalar,
-            DispatchMode::Inline,
-        );
+        let reference = run(&|k| run_groups(k, &range, true));
         assert_eq!(reference[0], DualPathKernel::expr(input[0]).to_bits());
-        for backend in [BackendKind::Native, BackendKind::Devsim] {
-            for path in [KernelPath::Scalar, KernelPath::Vectorized] {
-                for mode in [
-                    DispatchMode::Inline,
-                    DispatchMode::Parallel,
-                    DispatchMode::Adaptive,
-                ] {
-                    assert_eq!(
-                        reference,
-                        run(backend, path, mode),
-                        "{backend:?} × {path:?} × {mode:?}"
-                    );
-                }
+        for inline in [true, false] {
+            assert_eq!(reference, run(&|k| run_groups(k, &range, inline)));
+            assert_eq!(reference, run(&|k| run_vectorized(k, inline)));
+        }
+        // What the two queues do with it: the vectorized body by default,
+        // the per-item one on the reference queue.
+        for queue in [
+            CommandQueue::new(&ctx),
+            CommandQueue::per_item_reference(&ctx),
+        ] {
+            assert_eq!(
+                reference,
+                run(&|k| {
+                    queue.enqueue_kernel(k, &range).unwrap();
+                })
+            );
+        }
+    }
+
+    /// Marks each element with the body that computed it.
+    struct WhichBody {
+        dst: crate::buffer::BufView<u32>,
+        n: usize,
+    }
+
+    impl Kernel for WhichBody {
+        fn name(&self) -> &str {
+            "which_body"
+        }
+        fn profile(&self) -> KernelProfile {
+            KernelProfile::new("which_body")
+        }
+        fn run_group(&self, group: &crate::ndrange::WorkGroup) {
+            group.for_each_item(|item| self.dst.set(item.global_id(0), 1));
+        }
+        fn body(&self) -> KernelBody<'_> {
+            KernelBody::Vectorized(self)
+        }
+    }
+
+    impl crate::kernel::VectorizedBody for WhichBody {
+        fn domain(&self) -> usize {
+            self.n
+        }
+        fn run_span(&self, span: std::ops::Range<usize>) {
+            for i in span {
+                self.dst.set(i, 2);
             }
         }
     }
 
     #[test]
-    fn queue_snapshots_process_default_backend() {
-        use crate::backend::{set_default_backend, BackendKind};
+    fn only_the_reference_queue_takes_the_per_item_body() {
+        let n = 256;
         let ctx = Context::new(Device::native());
-        assert_eq!(
-            CommandQueue::new(&ctx).backend_kind(),
-            crate::backend::default_backend()
-        );
-        set_default_backend(BackendKind::Devsim);
-        let q = CommandQueue::new(&ctx);
-        set_default_backend(BackendKind::Native);
-        assert_eq!(
-            q.backend_kind(),
-            BackendKind::Devsim,
-            "snapshot at creation"
-        );
-        q.set_backend(BackendKind::Native);
-        assert_eq!(q.backend_kind(), BackendKind::Native);
+        for (queue, want) in [
+            (CommandQueue::new(&ctx), 2),
+            (CommandQueue::per_item_reference(&ctx), 1),
+        ] {
+            let dst = ctx.create_buffer::<u32>(n).unwrap();
+            let k = WhichBody { dst: dst.view(), n };
+            queue.enqueue_kernel(&k, &NdRange::d1(n, 64)).unwrap();
+            assert!(dst.to_vec().iter().all(|&v| v == want), "want {want}");
+        }
     }
 
     #[test]

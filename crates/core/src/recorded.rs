@@ -10,11 +10,12 @@
 //! is either the live workload (tapped, when this group is the one that
 //! records) or a recorded run priced on the group's own queue.
 //!
-//! Recorded runs live in the process-wide [`RunLog`], keyed by everything
-//! that selects executed code ([`RunKey`]). The first requester of a key
-//! leads: it runs live and publishes. Requesters that arrive meanwhile
-//! wait for that one recording instead of repeating it; if the leader
-//! fails they take over, one at a time. Failed runs are never stored.
+//! Recorded runs live in a [`RunLog`] (the process-wide one unless the
+//! caller passes another), keyed by the workload's identity ([`RunKey`]).
+//! The first requester of a key leads: it runs live and publishes.
+//! Requesters that arrive meanwhile wait for that one recording instead of
+//! repeating it; if the leader fails they take over, one at a time. Failed
+//! runs are never stored.
 //!
 //! **Pricing is bit-exact.** `Event::duration()` is `(start + cost) −
 //! start` on the absolute queue clock, so a priced group must issue the
@@ -72,11 +73,8 @@ impl RecordedRun {
     }
 }
 
-/// What a [`RecordedRun`] is a function of: the workload's identity plus
-/// every switch that selects the code a live run executes. The two
-/// process-wide switches belong here because their equivalence tests run
-/// one group under both settings — were they left out, the second run
-/// would be a hit and the test would compare a recording with itself.
+/// What a [`RecordedRun`] is a function of: the workload's identity and
+/// the one device property it reads.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunKey {
     benchmark: String,
@@ -86,12 +84,10 @@ pub struct RunKey {
     verified: bool,
     /// The one device property the dwarfs read (`local_1d`).
     max_work_group_size: usize,
-    backend: BackendKind,
-    kernel_path: KernelPath,
 }
 
 impl RunKey {
-    /// The key of `benchmark × size × seed` as `device` would run it now.
+    /// The key of `benchmark × size × seed` as `device` would run it.
     pub fn new(
         benchmark: &str,
         size: ProblemSize,
@@ -105,8 +101,6 @@ impl RunKey {
             seed,
             verified,
             max_work_group_size: device.max_work_group_size(),
-            backend: default_backend(),
-            kernel_path: default_kernel_path(),
         }
     }
 
@@ -362,10 +356,11 @@ enum Backing {
 impl Source {
     /// The source for `benchmark × size × seed` on `device`: the native
     /// device always runs live and records nothing; a simulated one prices
-    /// the recorded run if the [`RunLog::global`] has it (waiting for a
-    /// recording in flight), and otherwise runs live and records. `None`
+    /// the recorded run if `log` has it (waiting for a recording in
+    /// flight), and otherwise runs live and records into `log`. `None`
     /// when `deadline` passed during that wait.
     pub fn acquire(
+        log: &'static RunLog,
         benchmark: &dyn Benchmark,
         size: ProblemSize,
         seed: u64,
@@ -377,7 +372,7 @@ impl Source {
             None
         } else {
             let key = RunKey::new(benchmark.name(), size, seed, verified, device);
-            match RunLog::global().acquire(key, deadline)? {
+            match log.acquire(key, deadline)? {
                 Acquired::Hit(run) => {
                     return Some(Self {
                         backing: Backing::Log(run),
@@ -576,8 +571,16 @@ pub fn model_only_run(
     let device = Platform::simulated()
         .device_by_name(REFERENCE_DEVICE)
         .expect("reference device is in the catalog");
-    let mut source =
-        Source::acquire(benchmark, size, seed, false, &device, None).expect("no deadline to pass");
+    let mut source = Source::acquire(
+        RunLog::global(),
+        benchmark,
+        size,
+        seed,
+        false,
+        &device,
+        None,
+    )
+    .expect("no deadline to pass");
     if let Backing::Log(run) = &source.backing {
         return Ok(Arc::clone(run));
     }
@@ -694,7 +697,7 @@ mod tests {
         lead(&log, key(1, true)).publish(run(2, true)).unwrap();
         assert!(hit(&log, key(1, true)).verified);
         assert!(hit(&log, key(1, false)).verified, "the verified run serves");
-        // Another seed, backend or kernel path is another run.
+        // Another seed is another run.
         assert!(matches!(
             log.acquire(key(2, false), None),
             Some(Acquired::Lead(_))

@@ -21,7 +21,7 @@
 //! * [`stackdist`] — the one-pass reuse-distance cache engine: lazy trace
 //!   generators, Mattson stack-distance histograms with a hypergeometric
 //!   set-associativity correction, memoized per-workload analyses, and
-//!   the `CacheEngine` switch between it and the exact simulator;
+//!   the `CacheEngine` choice between it and the exact simulator;
 //! * [`energy`] — the TDP-anchored power model behind the RAPL/NVML meters;
 //! * [`noise`] — the measurement-noise model reproducing the paper's
 //!   observation that the coefficient of variation grows as device clocks

@@ -47,15 +47,15 @@
 //! value: each distinct `(pattern, working set, trace cap)` is analysed
 //! once and reused across every device, and each `(engine, profile,
 //! shape)` answer is derived once and looked up afterwards) and the
-//! [`CacheEngine`] switch that selects the exact simulator or the
-//! stack-distance engine at runtime.
+//! [`CacheEngine`] each caller passes: stack-distance on every product
+//! path, the exact simulator as the oracle tests pass explicitly (and as
+//! the arm stack-distance delegates to below 1 MiB).
 
 use crate::cache::{CacheConfig, CacheHierarchy, HierarchyCounts, TlbConfig};
 use crate::catalog::DeviceSpec;
 use crate::profile::AccessPattern;
 use eod_telemetry::metrics::{Counter, Gauge, Registry};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Default trace-length cap (bytes of footprint actually swept): the same
@@ -684,7 +684,7 @@ pub fn derive_counts(analysis: &TraceAnalysis, shape: &HierarchyShape) -> TwoPas
 }
 
 // ---------------------------------------------------------------------------
-// Engine switch
+// Engine choice
 // ---------------------------------------------------------------------------
 
 /// Which cache model produces hierarchy miss counts.
@@ -694,7 +694,7 @@ pub enum CacheEngine {
     /// the oracle and ablation path.
     Exact,
     /// One-pass stack-distance analysis with the hypergeometric
-    /// set-associativity correction (the default).
+    /// set-associativity correction (what counter synthesis uses).
     StackDistance,
 }
 
@@ -715,27 +715,6 @@ impl CacheEngine {
             CacheEngine::StackDistance => "stackdist",
         }
     }
-}
-
-/// Process-wide default engine: 0 = stack-distance, 1 = exact.
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// The process-wide default [`CacheEngine`] (stack-distance unless
-/// overridden by `--cache-engine`).
-pub fn default_engine() -> CacheEngine {
-    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        1 => CacheEngine::Exact,
-        _ => CacheEngine::StackDistance,
-    }
-}
-
-/// Override the process-wide default engine (the `--cache-engine` flag).
-pub fn set_default_engine(engine: CacheEngine) {
-    let v = match engine {
-        CacheEngine::StackDistance => 0,
-        CacheEngine::Exact => 1,
-    };
-    DEFAULT_ENGINE.store(v, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1154,10 +1133,6 @@ mod tests {
             Some(CacheEngine::StackDistance)
         );
         assert_eq!(CacheEngine::parse("bogus"), None);
-        let prev = default_engine();
-        set_default_engine(CacheEngine::Exact);
-        assert_eq!(default_engine(), CacheEngine::Exact);
-        set_default_engine(prev);
     }
 
     fn i7() -> HierarchyShape {

@@ -166,7 +166,7 @@ fn exact_engine_is_bit_identical_to_direct_simulation() {
     }
 }
 
-/// `two_pass_counts_traced` under the default engine on the default cap.
+/// `two_pass_counts_traced` under the stack-distance engine on the default cap.
 fn query(
     pattern: AccessPattern,
     ws: u64,

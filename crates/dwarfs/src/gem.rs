@@ -418,27 +418,22 @@ mod tests {
 
     #[test]
     fn kernel_paths_are_byte_identical() {
-        use eod_clrt::backend::{set_default_kernel_path, KernelPath};
-        let _g = crate::test_support::kernel_path_lock();
         // Tiny (4TUT) and small (2D3V) only: medium/large are O(n²) in an
         // all-pairs sum and take minutes per run. The accumulation order is
         // size-independent (ascending tiles, ascending atoms within a tile),
         // so these two cover the equivalence argument.
         for (name, kib) in [("4TUT", 31.3), ("2D3V", 252.0)] {
-            let run = |path: KernelPath| -> Vec<u32> {
-                set_default_kernel_path(path);
-                let ctx = Context::new(Device::native());
-                let queue = CommandQueue::new(&ctx);
+            let ctx = Context::new(Device::native());
+            let run = |queue: CommandQueue| -> Vec<u32> {
                 let mut w = GemWorkload::new(name, kib, 31);
                 w.setup(&ctx, &queue).unwrap();
                 w.run_iteration(&queue).unwrap();
-                set_default_kernel_path(KernelPath::Vectorized);
                 let phi = w.phi_buf.as_ref().unwrap();
                 phi.to_vec().iter().map(|v| v.to_bits()).collect()
             };
             assert_eq!(
-                run(KernelPath::Scalar),
-                run(KernelPath::Vectorized),
+                run(CommandQueue::per_item_reference(&ctx)),
+                run(CommandQueue::new(&ctx)),
                 "{name}"
             );
         }

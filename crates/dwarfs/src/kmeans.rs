@@ -383,8 +383,12 @@ mod tests {
     use eod_core::sizing;
 
     fn run_on(device: Device, params: KmeansParams) -> (KmeansWorkload, CommandQueue) {
-        let ctx = Context::new(device);
-        let queue = CommandQueue::new(&ctx).with_profiling();
+        run_on_queue(CommandQueue::new(&Context::new(device)), params)
+    }
+
+    fn run_on_queue(queue: CommandQueue, params: KmeansParams) -> (KmeansWorkload, CommandQueue) {
+        let queue = queue.with_profiling();
+        let ctx = queue.context().clone();
         let mut w = KmeansWorkload::new(params, 42);
         w.setup(&ctx, &queue).unwrap();
         w.run_iteration(&queue).unwrap();
@@ -475,23 +479,20 @@ mod tests {
 
     #[test]
     fn kernel_paths_are_byte_identical_across_paper_sizes() {
-        use eod_clrt::backend::{set_default_kernel_path, KernelPath};
-        let _g = crate::test_support::kernel_path_lock();
         for size in [
             ProblemSize::Tiny,
             ProblemSize::Small,
             ProblemSize::Medium,
             ProblemSize::Large,
         ] {
-            let run = |path: KernelPath| -> Vec<i32> {
-                set_default_kernel_path(path);
-                let (w, _q) = run_on(Device::native(), KmeansParams::for_size(size));
-                set_default_kernel_path(KernelPath::Vectorized);
+            let run = |queue: CommandQueue| -> Vec<i32> {
+                let (w, _q) = run_on_queue(queue, KmeansParams::for_size(size));
                 w.membership_buf.as_ref().unwrap().to_vec()
             };
+            let ctx = Context::new(Device::native());
             assert_eq!(
-                run(KernelPath::Scalar),
-                run(KernelPath::Vectorized),
+                run(CommandQueue::per_item_reference(&ctx)),
+                run(CommandQueue::new(&ctx)),
                 "{size:?}"
             );
         }

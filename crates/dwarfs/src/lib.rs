@@ -43,14 +43,3 @@ pub mod registry;
 pub mod srad;
 
 pub use registry::{all_benchmarks, benchmark_by_name};
-
-#[cfg(test)]
-pub(crate) mod test_support {
-    /// Serializes tests that flip the process-wide kernel-path switch, so
-    /// a concurrently running path-equivalence test can't have its
-    /// "scalar" leg silently re-routed through the vectorized body.
-    pub(crate) fn kernel_path_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}

@@ -576,32 +576,27 @@ mod tests {
 
     #[test]
     fn kernel_paths_are_byte_identical_across_paper_sizes() {
-        use eod_clrt::backend::{set_default_kernel_path, KernelPath};
-        let _g = crate::test_support::kernel_path_lock();
         for size in [
             ProblemSize::Tiny,
             ProblemSize::Small,
             ProblemSize::Medium,
             ProblemSize::Large,
         ] {
-            let run = |path: KernelPath| -> Vec<u32> {
-                set_default_kernel_path(path);
-                let ctx = Context::new(Device::native());
-                let queue = CommandQueue::new(&ctx);
+            let ctx = Context::new(Device::native());
+            let run = |queue: CommandQueue| -> Vec<u32> {
                 let mut w = SradWorkload::new(SradParams::for_size(size), 29);
                 w.setup(&ctx, &queue).unwrap();
                 // Two iterations so srad2's output feeds srad1 at least once.
                 w.run_iteration(&queue).unwrap();
                 w.run_iteration(&queue).unwrap();
-                set_default_kernel_path(KernelPath::Vectorized);
                 let (j, ..) = w.bufs.as_ref().unwrap();
                 let mut got = vec![0.0f32; w.p.cells()];
                 queue.enqueue_read_buffer(j, &mut got).unwrap();
                 got.iter().map(|v| v.to_bits()).collect()
             };
             assert_eq!(
-                run(KernelPath::Scalar),
-                run(KernelPath::Vectorized),
+                run(CommandQueue::per_item_reference(&ctx)),
+                run(CommandQueue::new(&ctx)),
                 "{size:?}"
             );
         }

@@ -24,8 +24,7 @@ use eod_devsim::cache::HierarchyCounts;
 use eod_devsim::catalog::{DeviceId, CATALOG};
 use eod_devsim::profile::KernelProfile;
 use eod_devsim::stackdist::{
-    default_engine, two_pass_counts, CacheEngine, HierarchyShape, HistogramCache, TracePass,
-    DEFAULT_TRACE_CAP,
+    two_pass_counts, CacheEngine, HierarchyShape, HistogramCache, TracePass, DEFAULT_TRACE_CAP,
 };
 use eod_telemetry::span::{Span, Track};
 use eod_telemetry::TraceSink;
@@ -109,13 +108,13 @@ fn resolve(warm: &HierarchyCounts) -> (f64, f64, f64, u8) {
 }
 
 /// Run the two-pass verification for one benchmark × size with the
-/// session's default cache engine.
+/// stack-distance engine.
 pub fn verify_group(
     benchmark: &str,
     size: ProblemSize,
     seed: u64,
 ) -> Result<CacheVerification, String> {
-    verify_group_with(benchmark, size, seed, default_engine())
+    verify_group_with(benchmark, size, seed, CacheEngine::StackDistance)
 }
 
 /// [`verify_group`] with an explicit engine choice.
@@ -288,13 +287,8 @@ pub fn sweep_report(
     Ok(out)
 }
 
-/// Markdown report over all benchmarks and sizes with the default engine.
+/// Markdown report over all benchmarks and sizes.
 pub fn report(seed: u64) -> Result<String, String> {
-    report_with(seed, default_engine())
-}
-
-/// [`report`] with an explicit engine choice.
-pub fn report_with(seed: u64, engine: CacheEngine) -> Result<String, String> {
     use std::fmt::Write as _;
     let mut out = String::from(
         "| benchmark | size | working set | L1 miss | L2 miss | L3 miss | resolves to |\n\
@@ -304,7 +298,7 @@ pub fn report_with(seed: u64, engine: CacheEngine) -> Result<String, String> {
         for &size in &bench.supported_sizes() {
             // gem medium/large profiles exist without execution (replay);
             // still skip nothing — profiles are analytic.
-            let v = verify_group_with(bench.name(), size, seed, engine)?;
+            let v = verify_group(bench.name(), size, seed)?;
             let level = match v.resolved_level {
                 1 => "L1",
                 2 => "L2",

@@ -27,7 +27,7 @@
 
 use eod_clrt::prelude::*;
 use eod_core::benchmark::Benchmark;
-use eod_core::recorded::Source;
+use eod_core::recorded::{RunLog, Source};
 use eod_core::sizes::ProblemSize;
 use eod_core::spec::ExecConfig;
 use eod_devsim::catalog::DeviceId;
@@ -254,15 +254,27 @@ pub struct Runner {
     /// spans (setup, first iteration, verification, one per sample) and
     /// the command queue records per-command device spans into it.
     trace: Option<Arc<TraceSink>>,
+    /// Where simulated groups find and leave recorded runs.
+    log: &'static RunLog,
 }
 
 impl Runner {
-    /// A runner with the given configuration.
+    /// A runner with the given configuration, sharing
+    /// [`RunLog::global`] with every other runner in the process.
     pub fn new(config: RunnerConfig) -> Self {
         Self {
             config,
             trace: None,
+            log: RunLog::global(),
         }
+    }
+
+    /// Find and leave recorded runs in `log` instead of the process-wide
+    /// one: a fresh log makes a group execute that the global log would
+    /// price.
+    pub fn with_run_log(mut self, log: &'static RunLog) -> Self {
+        self.log = log;
+        self
     }
 
     /// Attach a span sink; groups run by this runner record their host
@@ -295,9 +307,9 @@ impl Runner {
     /// service cache results and still return exactly what a direct
     /// single-group run produces.
     ///
-    /// On a simulated device the group executes only if no group in this
-    /// process has executed the same (benchmark, size, seed) under the
-    /// same backend and kernel path; otherwise it prices that group's
+    /// On a simulated device the group executes only if no group sharing
+    /// this runner's run log has executed the same (benchmark, size,
+    /// seed); otherwise it prices that group's
     /// recorded run on `device` — every modeled field is bit-identical to
     /// a live run's, `setup_ms` is the set-up time the recording measured,
     /// and a recording still in flight is waited for within this group's
@@ -337,6 +349,7 @@ impl Runner {
         let model_only = !self.config.real_execution && !device.is_native();
         let verify = self.config.verify && !model_only;
         let Some(mut source) = Source::acquire(
+            self.log,
             benchmark,
             size,
             self.config.seed,

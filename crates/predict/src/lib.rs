@@ -45,9 +45,7 @@ use eod_core::{
     model_only_run, JobSpec, Prediction, PredictionSet, ProfileProvenance, RecordedRun,
 };
 use eod_devsim::model::MemTier;
-use eod_devsim::stackdist::{
-    default_engine, two_pass_counts_traced, CountsSource, DEFAULT_TRACE_CAP,
-};
+use eod_devsim::stackdist::{two_pass_counts_traced, CacheEngine, CountsSource, DEFAULT_TRACE_CAP};
 use eod_devsim::{
     DeviceId, DeviceModel, HierarchyShape, HistogramCache, KernelProfile, PowerModel,
 };
@@ -317,7 +315,7 @@ fn recorded_run(spec: &JobSpec) -> Result<Arc<RecordedRun>, PredictError> {
 fn cache_evidence(model: &DeviceModel, profile: &KernelProfile) -> (ProfileProvenance, f64) {
     let shape = HierarchyShape::for_spec(model.spec());
     let (counts, source) = two_pass_counts_traced(
-        default_engine(),
+        CacheEngine::StackDistance,
         profile.pattern,
         profile.working_set,
         DEFAULT_TRACE_CAP,

@@ -51,8 +51,9 @@ struct Cli {
     trace_out: Option<PathBuf>,
 }
 
-fn parse_cli() -> Result<Cli, String> {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+/// Split `argv` (without the program name) into the command, its
+/// arguments and the options every command shares.
+fn parse_cli(argv: Vec<String>) -> Result<Cli, String> {
     let mut config = RunnerConfig::quick();
     let mut out_dir = None;
     let mut trace_out = None;
@@ -67,7 +68,8 @@ fn parse_cli() -> Result<Cli, String> {
                 config.samples = argv
                     .get(i)
                     .and_then(|v| v.parse().ok())
-                    .ok_or("--samples needs a number")?;
+                    .filter(|&n: &usize| n > 0)
+                    .ok_or("--samples needs a number of at least 1")?;
             }
             "--seed" => {
                 i += 1;
@@ -94,30 +96,6 @@ fn parse_cli() -> Result<Cli, String> {
                     argv.get(i).ok_or("--trace-out needs a file path")?,
                 ));
             }
-            "--cache-engine" => {
-                i += 1;
-                let engine = argv
-                    .get(i)
-                    .and_then(|v| eod_devsim::stackdist::CacheEngine::parse(v))
-                    .ok_or("--cache-engine needs `exact` or `stackdist`")?;
-                eod_devsim::stackdist::set_default_engine(engine);
-            }
-            "--backend" => {
-                i += 1;
-                let kind = argv
-                    .get(i)
-                    .and_then(|v| eod_clrt::backend::BackendKind::parse(v))
-                    .ok_or("--backend needs `native` or `devsim`")?;
-                eod_clrt::backend::set_default_backend(kind);
-            }
-            "--kernel-path" => {
-                i += 1;
-                let path = argv
-                    .get(i)
-                    .and_then(|v| eod_clrt::backend::KernelPath::parse(v))
-                    .ok_or("--kernel-path needs `scalar` or `vectorized`")?;
-                eod_clrt::backend::set_default_kernel_path(path);
-            }
             _ => rest.push(argv[i].clone()),
         }
         i += 1;
@@ -125,7 +103,6 @@ fn parse_cli() -> Result<Cli, String> {
     if rest.is_empty() {
         rest.push("help".to_string());
     }
-    argv.clear();
     let command = rest.remove(0);
     Ok(Cli {
         command,
@@ -1767,11 +1744,6 @@ fn cmd_status(cli: &Cli) -> Result<(), String> {
         "\ncache: {} hits, {} misses, {} evictions, {}/{} entries; queued {}; workers {}",
         cache.hits, cache.misses, cache.evictions, cache.entries, cache.capacity, queued, workers
     );
-    println!(
-        "backend: {} (kernel path {})",
-        eod_clrt::backend::default_backend().label(),
-        eod_clrt::backend::default_kernel_path().label()
-    );
     Ok(())
 }
 
@@ -1785,7 +1757,7 @@ fn cmd_shutdown(cli: &Cli) -> Result<(), String> {
 
 /// `eod cachesweep <benchmark> <size>` — one workload's steady-state cache
 /// behaviour across the whole Table 1 catalog, evaluated in parallel by
-/// the session's cache engine; `--trace-out` captures one devsim-track
+/// the stack-distance cache engine; `--trace-out` captures one devsim-track
 /// span per device evaluation.
 fn cmd_cachesweep(cli: &Cli) -> Result<(), String> {
     let benchmark = cli
@@ -1797,7 +1769,7 @@ fn cmd_cachesweep(cli: &Cli) -> Result<(), String> {
         None => ProblemSize::Medium,
     };
     let sink = TraceSink::new();
-    let engine = eod_devsim::stackdist::default_engine();
+    let engine = eod_devsim::stackdist::CacheEngine::StackDistance;
     print!(
         "{}",
         eod_harness::cachesim::sweep_report(benchmark, size, cli.config.seed, engine, Some(&sink))?
@@ -1891,7 +1863,7 @@ fn cmd_sweep(cli: &Cli) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    let cli = parse_cli()?;
+    let cli = parse_cli(std::env::args().skip(1).collect())?;
     let runner = Runner::new(cli.config.clone());
     match cli.command.as_str() {
         "list" => {
@@ -1986,9 +1958,6 @@ fn run() -> Result<(), String> {
                  \u{20}         cov cachesim cachesweep <benchmark> <size> aiwc ideal ablation autotune schedule\n\
                  \u{20}         sweep --family stream|gups|latency|roofline [--footprint 8KiB..64MiB] [--points 24]\n\
                  \u{20}               [--log|--linear] [--device D] [--stride S] [--fpe F] [--check-cliffs]\n\
-                 \u{20}         [--cache-engine exact|stackdist]  (counter/cachesim engine; default stackdist)\n\
-                 \u{20}         [--backend native|devsim]  (execution backend; default native)\n\
-                 \u{20}         [--kernel-path scalar|vectorized]  (NativeCpu dispatch; default vectorized)\n\
                  \u{20}         bench-engine [--full] [--json FILE] [--baseline FILE]\n\
                  \u{20}         serve [--addr A --workers N --queue-cap N --cache-cap N --metrics-addr M --transport reactor|blocking]\n\
                  \u{20}               [--shards N (0=auto) --handler-threads N]\n\
@@ -2011,5 +1980,29 @@ fn main() {
     if let Err(e) = run() {
         eprintln!("error: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_cli(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn samples_must_be_a_positive_number() {
+        for bad in [
+            &["run", "crc", "tiny", "--samples", "0"][..],
+            &["--samples", "ten"],
+            &["fig1", "--samples"],
+        ] {
+            let err = parse(bad).err().unwrap_or_else(|| panic!("{bad:?} parsed"));
+            assert!(err.contains("--samples"), "{bad:?}: {err}");
+        }
+        let cli = parse(&["run", "crc", "tiny", "--samples", "3"]).unwrap();
+        assert_eq!((cli.command.as_str(), cli.config.samples), ("run", 3));
+        assert_eq!(cli.args, ["crc", "tiny"]);
     }
 }

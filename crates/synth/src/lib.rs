@@ -315,18 +315,10 @@ pub fn family_listing() -> Vec<(&'static str, &'static str)> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use eod_core::spec::{ExecConfig, JobSpec};
     use proptest::prelude::*;
-
-    /// Serializes tests that flip the process-wide kernel-path switch, so
-    /// a concurrently running path-equivalence test can't have its
-    /// "scalar" leg silently re-routed through the vectorized body.
-    pub(crate) fn kernel_path_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn job(name: &str) -> JobSpec {
         JobSpec {

@@ -267,24 +267,19 @@ mod tests {
 
     #[test]
     fn kernel_paths_are_byte_identical() {
-        use eod_clrt::backend::{set_default_kernel_path, KernelPath};
-        let _g = crate::tests::kernel_path_lock();
         // Three synth parameter points across the intensity axis.
         for (fp, fpe) in [(48 * 1024u64, 1u32), (1 << 20, 16), (4 << 20, 64)] {
-            let run = |path: KernelPath| -> Vec<u32> {
-                set_default_kernel_path(path);
-                let ctx = Context::new(Device::native());
-                let queue = CommandQueue::new(&ctx);
+            let ctx = Context::new(Device::native());
+            let run = |queue: CommandQueue| -> Vec<u32> {
                 let mut w = RooflineWorkload::new(spec(fp, fpe), 17);
                 w.setup(&ctx, &queue).unwrap();
                 w.run_iteration(&queue).unwrap();
-                set_default_kernel_path(KernelPath::Vectorized);
                 let out = w.output.as_ref().unwrap();
                 out.to_vec().iter().map(|v| v.to_bits()).collect()
             };
             assert_eq!(
-                run(KernelPath::Scalar),
-                run(KernelPath::Vectorized),
+                run(CommandQueue::per_item_reference(&ctx)),
+                run(CommandQueue::new(&ctx)),
                 "fp={fp} fpe={fpe}"
             );
         }

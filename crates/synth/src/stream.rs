@@ -402,8 +402,6 @@ mod tests {
 
     #[test]
     fn kernel_paths_are_byte_identical() {
-        use eod_clrt::backend::{set_default_kernel_path, KernelPath};
-        let _g = crate::tests::kernel_path_lock();
         // Three synth parameter points: cache-resident contiguous, memory
         // footprint contiguous, and strided (the vectorized fallback loop).
         for (fp, stride) in [(48 * 1024u64, 1u64), (4 << 20, 1), (1 << 20, 8)] {
@@ -411,22 +409,19 @@ mod tests {
                 stride,
                 ..SynthSpec::new(SynthFamily::Stream, fp)
             };
-            let run = |path: KernelPath| -> Vec<u32> {
-                set_default_kernel_path(path);
-                let ctx = Context::new(Device::native());
-                let queue = CommandQueue::new(&ctx);
+            let ctx = Context::new(Device::native());
+            let run = |queue: CommandQueue| -> Vec<u32> {
                 let mut w = StreamWorkload::new(spec, 29);
                 w.setup(&ctx, &queue).unwrap();
                 w.run_iteration(&queue).unwrap();
-                set_default_kernel_path(KernelPath::Vectorized);
                 let bufs = w.bufs.as_ref().unwrap();
                 let mut out: Vec<u32> = bufs[1].to_vec().iter().map(|v| v.to_bits()).collect();
                 out.extend(bufs[2].to_vec().iter().map(|v| v.to_bits()));
                 out
             };
             assert_eq!(
-                run(KernelPath::Scalar),
-                run(KernelPath::Vectorized),
+                run(CommandQueue::per_item_reference(&ctx)),
+                run(CommandQueue::new(&ctx)),
                 "fp={fp} stride={stride}"
             );
         }

@@ -3,14 +3,12 @@
 //! same command list — and the edges of the store it lives in.
 //!
 //! Each test uses seeds no other test in the workspace does, so the first
-//! group it runs is the one that records. Tests that read whether a group
-//! recorded or hit, and the one that flips the process-wide kernel path,
-//! take `SWITCH` so the key cannot change under them.
+//! group it runs is the one that records.
 
-use eod_clrt::backend::{set_default_kernel_path, KernelPath};
 use eod_clrt::prelude::*;
 use eod_core::benchmark::{Benchmark, Workload};
 use eod_core::dwarf::Dwarf;
+use eod_core::recorded::RunLog;
 use eod_core::sizes::ProblemSize;
 use eod_dwarfs::registry;
 use eod_harness::{GroupResult, Runner, RunnerConfig, RunnerError};
@@ -18,14 +16,8 @@ use eod_scibench::region::Region;
 use eod_synth::{SynthBenchmark, SynthFamily, SynthSpec};
 use eod_telemetry::{ArgValue, TraceSink, Track};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-static SWITCH: Mutex<()> = Mutex::new(());
-
-fn switch() -> MutexGuard<'static, ()> {
-    SWITCH.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The paper's eleven, the extension set, and one tiny point per
 /// synthetic family.
@@ -53,10 +45,15 @@ struct Traced {
 }
 
 fn traced_group(config: &RunnerConfig, benchmark: &dyn Benchmark, device: Device) -> Traced {
+    traced_group_in(Runner::new(config.clone()), benchmark, device)
+}
+
+fn traced_group_in(runner: Runner, benchmark: &dyn Benchmark, device: Device) -> Traced {
     let sink = Arc::new(TraceSink::new());
-    let result = Runner::new(config.clone())
-        .with_trace(Arc::clone(&sink))
-        .run_group(benchmark, ProblemSize::Tiny, device);
+    let result =
+        runner
+            .with_trace(Arc::clone(&sink))
+            .run_group(benchmark, ProblemSize::Tiny, device);
     let spans = sink.drain();
     let log = spans
         .iter()
@@ -146,7 +143,6 @@ fn replay_iterations_enqueue_identical_command_lists() {
 
 #[test]
 fn a_priced_group_equals_the_group_that_recorded_it() {
-    let _switch = switch();
     let mut config = RunnerConfig::smoke();
     for (d, name) in ["i7-6700K", "GTX 1080", "Xeon Phi 7210"].iter().enumerate() {
         // A seed per device, so each device records its own run.
@@ -215,7 +211,6 @@ impl Benchmark for Counting {
 
 #[test]
 fn concurrent_requesters_of_one_key_set_the_workload_up_once() {
-    let _switch = switch();
     let bench = Counting::new("srad");
     let mut config = RunnerConfig::smoke();
     config.seed = 0x5EED_0200;
@@ -256,7 +251,6 @@ fn concurrent_requesters_of_one_key_set_the_workload_up_once() {
 
 #[test]
 fn a_timed_out_recording_stores_nothing() {
-    let _switch = switch();
     let bench = Counting::new("crc");
     let mut config = RunnerConfig::smoke();
     config.seed = 0x5EED_0300;
@@ -280,8 +274,7 @@ fn a_timed_out_recording_stores_nothing() {
 }
 
 #[test]
-fn flipping_the_kernel_path_executes_both_and_prices_the_same() {
-    let _switch = switch();
+fn a_group_priced_from_another_device_equals_it_executed_live() {
     let bench = Counting::new("srad");
     let mut config = RunnerConfig::smoke();
     config.seed = 0x5EED_0400;
@@ -292,19 +285,45 @@ fn flipping_the_kernel_path_executes_both_and_prices_the_same() {
     );
     let priced = traced_group(&config, &bench, device("Xeon Phi 7210"));
     assert_eq!(priced.log, "hit");
-    // The other path is other code: the same group executes again — live
-    // on the Xeon Phi this time, which is the reference the priced group
-    // must equal (the two paths are arithmetic-equivalent by contract).
-    set_default_kernel_path(KernelPath::Scalar);
-    let live = traced_group(&config, &bench, device("Xeon Phi 7210"));
-    set_default_kernel_path(KernelPath::Vectorized);
+    // The reference: the same group executed live on the Xeon Phi, which
+    // a fresh run log makes it do.
+    let fresh: &'static RunLog = Box::leak(Box::new(RunLog::with_budget(1 << 20)));
+    let live = traced_group_in(
+        Runner::new(config.clone()).with_run_log(fresh),
+        &bench,
+        device("Xeon Phi 7210"),
+    );
     assert_eq!(live.log, "recorded");
-    assert_eq!(bench.built(), 2, "each path executed once");
+    assert_eq!(bench.built(), 2, "executed once per log");
     assert_same_measurement(
         &priced.result.unwrap(),
         &live.result.unwrap(),
         "srad tiny on Xeon Phi",
     );
+}
+
+#[test]
+fn the_per_item_reference_enqueues_the_same_commands() {
+    // What a recorded run holds does not depend on which body a kernel
+    // executed, which is why the run key does not name one.
+    for bench in every_benchmark() {
+        let tape = |per_item: bool| -> Vec<Command> {
+            let ctx = Context::recording(device("GTX 1080"));
+            let queue = if per_item {
+                CommandQueue::per_item_reference(&ctx)
+            } else {
+                CommandQueue::new(&ctx)
+            };
+            let mut workload = bench.workload(ProblemSize::Tiny, 0x5EED_0700);
+            workload.setup(&ctx, &queue).unwrap();
+            workload.run_iteration(&queue).unwrap();
+            workload.verify(&queue).unwrap();
+            queue.set_replay(true);
+            workload.run_iteration(&queue).unwrap();
+            ctx.finish_recording()
+        };
+        assert_eq!(tape(true), tape(false), "{}", bench.name());
+    }
 }
 
 #[test]
@@ -322,7 +341,6 @@ fn native_groups_are_never_logged() {
 
 #[test]
 fn model_only_requests_are_served_by_a_verified_run() {
-    let _switch = switch();
     let bench = Counting::new("fft");
     let mut config = RunnerConfig::smoke();
     config.seed = 0x5EED_0600;
