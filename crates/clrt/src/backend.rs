@@ -4,9 +4,16 @@
 //! [`run_vectorized`] when the kernel exposes a
 //! [`KernelBody::Vectorized`](crate::kernel::KernelBody) body, and to
 //! [`run_groups`] otherwise. Both are adaptive: a launch of at most
-//! [`INLINE_THRESHOLD`] work-items runs inline on the enqueuing thread
+//! [`INLINE_THRESHOLD`] units runs inline on the enqueuing thread
 //! (skipping the Rayon fork-join, which would cost more than the kernel);
 //! a larger one fans out across host threads by index.
+//!
+//! The unit is what the dispatcher can see. For a vectorized body it is
+//! an element of the body's domain; for a per-item kernel it is a
+//! work-item, however much work each item does. A kernel with few, heavy
+//! items (GUPS's 256 chunk owners, crc's 64 pages, dwt's rows and
+//! columns) therefore runs on one core unless it exposes a span body
+//! whose domain counts its real elements of work.
 //!
 //! A real-OpenCL port would replace two seams and nothing here: device
 //! discovery (`Platform::all`) and launch (the queue's call into this
@@ -19,8 +26,9 @@ use crate::kernel::{Kernel, VectorizedBody};
 use crate::ndrange::NdRange;
 use rayon::prelude::*;
 
-/// The inline/parallel crossover, in work-items: launches at or under it
-/// run inline on the enqueuing thread. Calibrated on the native host (see
+/// The inline/parallel crossover, in work-items (per-item kernels) or
+/// domain elements (vectorized bodies): launches at or under it run
+/// inline on the enqueuing thread. Calibrated on the native host (see
 /// DESIGN.md §dispatch); to recalibrate on another host, edit the value
 /// and rerun `eod bench-engine`.
 pub(crate) const INLINE_THRESHOLD: usize = 4096;

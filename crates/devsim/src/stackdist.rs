@@ -699,16 +699,7 @@ pub enum CacheEngine {
 }
 
 impl CacheEngine {
-    /// Parse a CLI-facing name (`exact` | `stackdist`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "exact" => Some(CacheEngine::Exact),
-            "stackdist" | "stack-distance" | "stackdistance" => Some(CacheEngine::StackDistance),
-            _ => None,
-        }
-    }
-
-    /// CLI-facing name.
+    /// Name used in trace spans and reports.
     pub fn label(self) -> &'static str {
         match self {
             CacheEngine::Exact => "exact",
@@ -1123,16 +1114,6 @@ mod tests {
         assert_eq!(a.line_cold.entries().len(), 0);
         assert_eq!(a.line_warm.cold(), 0);
         assert_eq!(a.line_warm.entries(), &[(1024, 1024)]);
-    }
-
-    #[test]
-    fn engine_switch_round_trips() {
-        assert_eq!(CacheEngine::parse("exact"), Some(CacheEngine::Exact));
-        assert_eq!(
-            CacheEngine::parse("stackdist"),
-            Some(CacheEngine::StackDistance)
-        );
-        assert_eq!(CacheEngine::parse("bogus"), None);
     }
 
     fn i7() -> HierarchyShape {

@@ -185,6 +185,42 @@ impl Kernel for CrcKernel {
             self.page_crcs.set(p, !crc);
         }
     }
+
+    fn body(&self) -> KernelBody<'_> {
+        KernelBody::Vectorized(self)
+    }
+}
+
+impl VectorizedBody for CrcKernel {
+    /// The message padded to whole pages: [`PAGES`] × bytes per page.
+    fn domain(&self) -> usize {
+        PAGES * self.granularity()
+    }
+
+    /// One page: a span owns whole pages and their CRC slots.
+    fn granularity(&self) -> usize {
+        self.len.div_ceil(PAGES)
+    }
+
+    fn run_span(&self, span: std::ops::Range<usize>) {
+        let per = self.granularity();
+        let pages = span.start / per..span.end / per;
+        // SAFETY: the kernel only reads the message and table, and
+        // exclusively owns the CRC slots of the pages in `span` — the
+        // backend hands out disjoint page-aligned spans.
+        let (message, table, out) = unsafe {
+            (
+                self.message.slice(0..self.len),
+                self.table.slice(0..256),
+                self.page_crcs.slice_mut(pages.clone()),
+            )
+        };
+        let table: &[u32; 256] = table.try_into().expect("256-entry table");
+        for (slot, p) in out.iter_mut().zip(pages) {
+            let (start, end) = page_bounds(self.len, p);
+            *slot = crc32_table(table, &message[start..end]);
+        }
+    }
 }
 
 /// The crc benchmark descriptor.
@@ -387,6 +423,29 @@ mod tests {
     #[test]
     fn device_crc_odd_length() {
         run_crc(Device::native(), 999); // not divisible by PAGES
+    }
+
+    #[test]
+    fn kernel_paths_are_byte_identical_across_paper_sizes() {
+        for len in ScaleTable::CRC_BYTES {
+            let ctx = Context::new(Device::native());
+            let run = |queue: CommandQueue| -> Vec<u32> {
+                let mut w = CrcWorkload::new(len, 13);
+                w.setup(&ctx, &queue).unwrap();
+                w.run_iteration(&queue).unwrap();
+                w.verify(&queue).unwrap();
+                let mut pages = vec![0u32; PAGES];
+                queue
+                    .enqueue_read_buffer(w.page_buf.as_ref().unwrap(), &mut pages)
+                    .unwrap();
+                pages
+            };
+            assert_eq!(
+                run(CommandQueue::per_item_reference(&ctx)),
+                run(CommandQueue::new(&ctx)),
+                "{len} bytes"
+            );
+        }
     }
 
     #[test]

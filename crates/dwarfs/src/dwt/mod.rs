@@ -121,7 +121,39 @@ impl Kernel for RowKernel {
             }
         }
     }
+
+    fn body(&self) -> KernelBody<'_> {
+        KernelBody::Vectorized(self)
+    }
 }
+
+impl VectorizedBody for RowKernel {
+    /// The region's cells, row-major at region width.
+    fn domain(&self) -> usize {
+        self.rw * self.rh
+    }
+
+    /// One region row: a span owns whole rows.
+    fn granularity(&self) -> usize {
+        self.rw
+    }
+
+    fn run_span(&self, span: std::ops::Range<usize>) {
+        for r in span.start / self.rw..span.end / self.rw {
+            let row = r * self.w..r * self.w + self.rw;
+            // SAFETY: the row pass only reads `src`, and exclusively owns
+            // the `dst` rows in `span` — the backend hands out disjoint
+            // row-aligned spans.
+            let (x, out) = unsafe { (self.src.slice(row.clone()), self.dst.slice_mut(row)) };
+            lifting::forward_step(x, out);
+        }
+    }
+}
+
+/// Columns the column span lifts together: one 64-byte line of `f32`
+/// per row, so gathering a block reads whole lines instead of one strided
+/// element per load.
+const COL_BLOCK: usize = 16;
 
 /// Column-pass kernel: work-item `c` lifts column `c` of the region from
 /// `src` into `dst`.
@@ -167,6 +199,53 @@ impl Kernel for ColKernel {
             lifting::forward_step(&col, &mut out);
             for (r, &v) in out.iter().enumerate() {
                 self.dst.set(r * self.w + c, v);
+            }
+        }
+    }
+
+    fn body(&self) -> KernelBody<'_> {
+        KernelBody::Vectorized(self)
+    }
+}
+
+impl VectorizedBody for ColKernel {
+    /// The region's cells, column-major at region height.
+    fn domain(&self) -> usize {
+        self.rw * self.rh
+    }
+
+    /// One region column: a span owns whole columns.
+    fn granularity(&self) -> usize {
+        self.rh
+    }
+
+    fn run_span(&self, span: std::ops::Range<usize>) {
+        let (w, rh) = (self.w, self.rh);
+        let cols = span.start / rh..span.end / rh;
+        // Block-transposed scratch: column `j` of a block at `j * rh`.
+        let mut col = vec![0.0f32; COL_BLOCK * rh];
+        let mut out = vec![0.0f32; COL_BLOCK * rh];
+        // SAFETY: the column pass only reads `src`.
+        let src = unsafe { self.src.slice(0..(rh - 1) * w + self.rw) };
+        for c0 in cols.clone().step_by(COL_BLOCK) {
+            let bw = COL_BLOCK.min(cols.end - c0);
+            for r in 0..rh {
+                for (j, &v) in src[r * w + c0..][..bw].iter().enumerate() {
+                    col[j * rh + r] = v;
+                }
+            }
+            for j in 0..bw {
+                let lane = j * rh..(j + 1) * rh;
+                lifting::forward_step(&col[lane.clone()], &mut out[lane]);
+            }
+            for r in 0..rh {
+                // SAFETY: this span exclusively owns the region columns in
+                // `cols` — the backend hands out disjoint column-aligned
+                // spans — so it owns these cells of every row.
+                let dst = unsafe { self.dst.slice_mut(r * w + c0..r * w + c0 + bw) };
+                for (j, d) in dst.iter_mut().enumerate() {
+                    *d = out[j * rh + r];
+                }
             }
         }
     }
@@ -334,6 +413,36 @@ mod tests {
                 levels: 3,
             },
         );
+    }
+
+    #[test]
+    fn kernel_paths_are_byte_identical_across_paper_sizes() {
+        for &size in ProblemSize::all() {
+            let paper = DwtParams::for_size(size);
+            // Six levels reach regions whose width is no multiple of the
+            // column block at every size (1152 → 36, 3648 → 114), so the
+            // column spans' partial blocks are covered too.
+            for p in [paper, DwtParams { levels: 6, ..paper }] {
+                let ctx = Context::new(Device::native());
+                let run = |queue: CommandQueue| -> Vec<u32> {
+                    let mut w = DwtWorkload::new(p, 0);
+                    w.setup(&ctx, &queue).unwrap();
+                    w.run_iteration(&queue).unwrap();
+                    w.img_buf
+                        .as_ref()
+                        .unwrap()
+                        .to_vec()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(
+                    run(CommandQueue::per_item_reference(&ctx)),
+                    run(CommandQueue::new(&ctx)),
+                    "{p:?}"
+                );
+            }
+        }
     }
 
     #[test]

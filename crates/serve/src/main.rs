@@ -289,15 +289,14 @@ fn cmd_run(cli: &Cli) -> Result<(), String> {
         }
         rest.push(a.clone());
     }
-    let size_label = rest.first().map(String::as_str).unwrap_or("tiny");
-    let size = ProblemSize::parse(size_label).unwrap_or(ProblemSize::Tiny);
-    // Optional Table 3-style device selector among the remaining args.
-    let selector: String = rest
-        .iter()
-        .skip_while(|a| ProblemSize::parse(a).is_some())
-        .cloned()
-        .collect::<Vec<_>>()
-        .join(" ");
+    // The size is the first remaining word unless that is already the
+    // Table 3-style device selector (`-p P -d D -t T`).
+    let (size_label, selector) = match rest.split_first() {
+        Some((first, tail)) if !first.starts_with('-') => (Some(first), tail),
+        _ => (None, &rest[..]),
+    };
+    let size = parse_size(size_label)?;
+    let selector = selector.join(" ");
     let device = if selector.is_empty() {
         Platform::simulated()
             .device_by_name("i7-6700K")
@@ -1319,10 +1318,22 @@ fn median_kernel_ms(json: &str) -> Option<f64> {
     })
 }
 
+/// A command's optional size label: missing means `tiny`; present but
+/// unknown is an error naming the valid sizes.
+fn parse_size(label: Option<&String>) -> Result<ProblemSize, String> {
+    let Some(label) = label else {
+        return Ok(ProblemSize::Tiny);
+    };
+    ProblemSize::parse(label).ok_or_else(|| {
+        let valid: Vec<&str> = ProblemSize::all().iter().map(|s| s.label()).collect();
+        format!("unknown size {label:?} (valid: {})", valid.join(", "))
+    })
+}
+
 fn cmd_submit(cli: &Cli) -> Result<(), String> {
     let addr = serve_addr(&cli.args);
-    let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
     if let Some(fig) = flag_value(&cli.args, "--fig") {
+        let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
         let out = client.figure(&fig).map_err(|e| e.to_string())?;
         // Match the direct figure commands' trailing newline exactly.
         println!("{}", out.rendered);
@@ -1351,10 +1362,7 @@ fn cmd_submit(cli: &Cli) -> Result<(), String> {
         "usage: eod submit <benchmark> [size] [--device NAME] [--high] [--timeout-ms T] \
          [--no-wait] [--addr HOST:PORT]  |  eod submit --fig <figN>",
     )?;
-    let size = positional
-        .get(1)
-        .and_then(|s| ProblemSize::parse(s))
-        .unwrap_or(ProblemSize::Tiny);
+    let size = parse_size(positional.get(1))?;
     let device = flag_value(&cli.args, "--device").unwrap_or_else(|| "i7-6700K".to_string());
     let mut exec = cli.config.to_exec();
     if let Some(ms) = parse_flag::<u64>(&cli.args, "--timeout-ms")? {
@@ -1371,6 +1379,7 @@ fn cmd_submit(cli: &Cli) -> Result<(), String> {
     } else {
         Priority::Normal
     };
+    let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
     if has_flag(&cli.args, "--no-wait") {
         let (job, key, state, cached) =
             client.submit(&spec, priority).map_err(|e| e.to_string())?;
@@ -1441,10 +1450,7 @@ fn cmd_predict(cli: &Cli) -> Result<(), String> {
     let benchmark = positional
         .first()
         .ok_or("usage: eod predict <benchmark> [size] [--device NAME] [--addr HOST:PORT]")?;
-    let size = positional
-        .get(1)
-        .and_then(|s| ProblemSize::parse(s))
-        .unwrap_or(ProblemSize::Tiny);
+    let size = parse_size(positional.get(1))?;
     let device = flag_value(&cli.args, "--device").unwrap_or_else(|| "i7-6700K".to_string());
     let spec = JobSpec {
         benchmark: benchmark.clone(),
@@ -2004,5 +2010,46 @@ mod tests {
         let cli = parse(&["run", "crc", "tiny", "--samples", "3"]).unwrap();
         assert_eq!((cli.command.as_str(), cli.config.samples), ("run", 3));
         assert_eq!(cli.args, ["crc", "tiny"]);
+    }
+
+    /// Each command must refuse `huge` before doing any work (no server
+    /// listens on the `--addr` given).
+    fn assert_rejects_unknown_size(command: fn(&Cli) -> Result<(), String>, args: &[&str]) {
+        let err = command(&parse(args).unwrap()).unwrap_err();
+        assert_eq!(
+            err, r#"unknown size "huge" (valid: tiny, small, medium, large)"#,
+            "{args:?}"
+        );
+    }
+
+    #[test]
+    fn run_rejects_an_unknown_size() {
+        assert_rejects_unknown_size(cmd_run, &["run", "srad", "huge"]);
+        assert_rejects_unknown_size(
+            cmd_run,
+            &["run", "srad", "huge", "-p", "1", "-d", "0", "-t", "0"],
+        );
+    }
+
+    #[test]
+    fn submit_rejects_an_unknown_size() {
+        assert_rejects_unknown_size(
+            cmd_submit,
+            &["submit", "srad", "huge", "--addr", "127.0.0.1:1"],
+        );
+    }
+
+    #[test]
+    fn predict_rejects_an_unknown_size() {
+        assert_rejects_unknown_size(cmd_predict, &["predict", "srad", "huge"]);
+    }
+
+    #[test]
+    fn a_missing_size_defaults_to_tiny() {
+        assert_eq!(parse_size(None), Ok(ProblemSize::Tiny));
+        assert_eq!(
+            parse_size(Some(&"large".to_string())),
+            Ok(ProblemSize::Large)
+        );
     }
 }

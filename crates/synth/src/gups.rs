@@ -58,15 +58,17 @@ struct GupsKernel {
 }
 
 impl GupsKernel {
-    /// Apply (or re-apply: XOR self-inverts) item `g`'s update stream to a
-    /// host slice — the serial reference shares this exact loop shape.
+    /// Apply (or re-apply: XOR self-inverts) item `g`'s update stream:
+    /// `f(idx, r)` for each update, `idx` a global table index inside item
+    /// `g`'s chunk. Every path — per-item, span and verify — shares this
+    /// loop, monomorphized over its update closure.
     fn apply_item(
         seed: u64,
         g: usize,
         items: usize,
         n: usize,
         updates: u64,
-        f: &mut dyn FnMut(usize, u64),
+        mut f: impl FnMut(usize, u64),
     ) {
         let chunk = n / items; // both powers of two
         let base = g * chunk;
@@ -105,16 +107,38 @@ impl Kernel for GupsKernel {
             if g >= self.items {
                 continue;
             }
-            Self::apply_item(
-                self.seed,
-                g,
-                self.items,
-                self.n,
-                self.updates,
-                &mut |idx, r| {
-                    self.table.set(idx, self.table.get(idx) ^ r);
-                },
-            );
+            Self::apply_item(self.seed, g, self.items, self.n, self.updates, |idx, r| {
+                self.table.set(idx, self.table.get(idx) ^ r);
+            });
+        }
+    }
+
+    fn body(&self) -> KernelBody<'_> {
+        KernelBody::Vectorized(self)
+    }
+}
+
+impl VectorizedBody for GupsKernel {
+    fn domain(&self) -> usize {
+        self.n
+    }
+
+    /// One item's chunk: a span owns whole chunks, so every update it
+    /// applies lands inside its own slice.
+    fn granularity(&self) -> usize {
+        self.n / self.items
+    }
+
+    fn run_span(&self, span: std::ops::Range<usize>) {
+        let chunk = self.granularity();
+        // SAFETY: each item writes only its own chunk, and the backend
+        // hands out disjoint chunk-aligned spans.
+        let table = unsafe { self.table.slice_mut(span.clone()) };
+        let base = span.start;
+        for g in span.start / chunk..span.end / chunk {
+            Self::apply_item(self.seed, g, self.items, self.n, self.updates, |idx, r| {
+                table[idx - base] ^= r;
+            });
         }
     }
 }
@@ -197,23 +221,21 @@ impl Workload for GupsWorkload {
         queue
             .enqueue_read_buffer(table, &mut got)
             .map_err(|e| e.to_string())?;
-        let mut want = self.host_init.clone();
         if self.iterations % 2 == 1 {
-            // Odd parity: one net application of the update stream.
+            // Odd parity: one net application of the update stream. XOR it
+            // back out in place — `got ^ stream == init` exactly where
+            // `got == init ^ stream` — so no second table is built.
             for g in 0..self.items {
-                GupsKernel::apply_item(
-                    self.seed,
-                    g,
-                    self.items,
-                    self.n,
-                    self.updates,
-                    &mut |idx, r| {
-                        want[idx] ^= r;
-                    },
-                );
+                GupsKernel::apply_item(self.seed, g, self.items, self.n, self.updates, |idx, r| {
+                    got[idx] ^= r;
+                });
             }
         }
-        let bad = got.iter().zip(&want).filter(|(g, w)| g != w).count();
+        let bad = got
+            .iter()
+            .zip(&self.host_init)
+            .filter(|(g, w)| g != w)
+            .count();
         if bad != 0 {
             return Err(format!("gups: {bad}/{} table slots wrong", self.n));
         }
@@ -241,6 +263,45 @@ mod tests {
         w.verify(&queue).unwrap(); // odd: stream applied once
         w.run_iteration(&queue).unwrap();
         w.verify(&queue).unwrap(); // even: XOR cancelled, table pristine
+    }
+
+    #[test]
+    fn kernel_paths_are_byte_identical_across_footprints() {
+        // 32 MiB is the footprint the end-to-end benchmark runs.
+        for fp in [64 * 1024, 1 << 20, 32 << 20] {
+            let ctx = Context::new(Device::native());
+            let run = |queue: CommandQueue| -> Vec<u64> {
+                let mut w = GupsWorkload::new(spec(fp), 9);
+                w.setup(&ctx, &queue).unwrap();
+                w.run_iteration(&queue).unwrap();
+                w.verify(&queue).unwrap();
+                let mut got = vec![0u64; w.n];
+                queue
+                    .enqueue_read_buffer(w.table.as_ref().unwrap(), &mut got)
+                    .unwrap();
+                got
+            };
+            assert_eq!(
+                run(CommandQueue::per_item_reference(&ctx)),
+                run(CommandQueue::new(&ctx)),
+                "footprint {fp}"
+            );
+        }
+    }
+
+    #[test]
+    fn verify_counts_a_flipped_slot_at_odd_parity() {
+        let ctx = Context::new(Device::native());
+        let queue = CommandQueue::new(&ctx);
+        let mut w = GupsWorkload::new(spec(64 * 1024), 5);
+        w.setup(&ctx, &queue).unwrap();
+        w.run_iteration(&queue).unwrap();
+        let table = w.table.as_ref().unwrap();
+        table.set(17, table.get(17) ^ 1);
+        assert_eq!(
+            w.verify(&queue),
+            Err(format!("gups: 1/{} table slots wrong", w.n))
+        );
     }
 
     #[test]
@@ -290,7 +351,7 @@ mod tests {
             // Every update stays inside its item's chunk.
             let chunk = n / items;
             for g in [0, items / 2, items - 1] {
-                GupsKernel::apply_item(3, g, items, n, w.updates, &mut |idx, _| {
+                GupsKernel::apply_item(3, g, items, n, w.updates, |idx, _| {
                     assert!(idx >= g * chunk && idx < (g + 1) * chunk);
                 });
             }
@@ -300,8 +361,8 @@ mod tests {
         fn deterministic_under_fixed_seed(seed in 0u64..=u64::MAX) {
             let mut a = Vec::new();
             let mut b = Vec::new();
-            GupsKernel::apply_item(seed, 1, 4, 1024, 256, &mut |idx, r| a.push((idx, r)));
-            GupsKernel::apply_item(seed, 1, 4, 1024, 256, &mut |idx, r| b.push((idx, r)));
+            GupsKernel::apply_item(seed, 1, 4, 1024, 256, |idx, r| a.push((idx, r)));
+            GupsKernel::apply_item(seed, 1, 4, 1024, 256, |idx, r| b.push((idx, r)));
             prop_assert_eq!(a, b);
         }
     }
