@@ -1,16 +1,19 @@
 //! Compute devices: the native host CPU and the simulated Table 1 fleet.
 //!
 //! A [`Device`] is what a context binds to and what a command queue
-//! executes on. Two timing sources exist:
+//! executes on. Every live command — a launch or a transfer — executes on
+//! the host and is timed by the host wall clock; what differs is where a
+//! device's *reported* times come from:
 //!
-//! * [`Timing::Wall`] — kernels run for real across host threads and
-//!   events carry wall-clock timestamps. This is what the Criterion
-//!   benches measure.
-//! * [`Timing::Modeled`] — kernels still run for real (results must be
-//!   correct and checkable against each benchmark's serial reference), but
-//!   event timestamps come from the `eod-devsim` timing model for the
-//!   chosen Table 1 device, perturbed by its noise model, and PAPI-style
-//!   counters are synthesized to match. This is the source that
+//! * [`Timing::Wall`] — the native device: kernels run for real across
+//!   host threads and the wall-clock event timestamps are the measurement.
+//!   This is what the Criterion benches measure.
+//! * [`Timing::Modeled`] — a simulated Table 1 device: a run is recorded
+//!   live (results must be correct and checkable against each benchmark's
+//!   serial reference), and its tape is priced by
+//!   [`crate::queue::CommandQueue::enqueue_recorded`] with the `eod-devsim`
+//!   timing model for the device, perturbed by its noise model, with
+//!   PAPI-style counters synthesized to match. This is the source that
 //!   regenerates the paper's figures.
 //!
 //! The timing source is a per-device property; *how* kernels execute on
@@ -80,7 +83,7 @@ impl SimBackend {
 pub enum Timing {
     /// Real execution on the host, wall-clock timing.
     Wall,
-    /// Real execution on the host, modeled timing for a Table 1 device.
+    /// A Table 1 device: recorded commands are priced by its model.
     Modeled(SimBackend),
 }
 

@@ -12,10 +12,12 @@
 //!   same shape as Intel's OpenCL CPU driver, which fissions work-groups
 //!   over TBB), and events carry real wall-clock timestamps;
 //! * the **simulated accelerators** — one device per Table 1 entry.
-//!   Kernels still really execute (so results stay correct and verifiable),
-//!   but event timestamps come from `eod-devsim`'s calibrated timing model
-//!   plus its measurement-noise model, and hardware counters are synthesized
-//!   to match.
+//!   Kernels still really execute (so results stay correct and verifiable)
+//!   on a *recording* context, which tapes what was asked of the device —
+//!   allocation sizes, transfer bytes, one profile per launch. The tape is
+//!   then priced on a simulated device's queue: event timestamps come from
+//!   `eod-devsim`'s calibrated timing model plus its measurement-noise
+//!   model, and hardware counters are synthesized to match.
 //!
 //! Orthogonal to the per-device timing source, every launch goes through
 //! one host dispatcher: kernels exposing a
@@ -43,10 +45,10 @@
 //!
 //! let platform = Platform::simulated();
 //! let device = platform.device_by_name("GTX 1080").unwrap();
-//! let ctx = Context::new(device);
-//! let queue = CommandQueue::new(&ctx).with_profiling();
 //!
-//! // A SAXPY kernel over 1024 work-items.
+//! // Record: a SAXPY over 1024 work-items executes for real.
+//! let ctx = Context::recording(device.clone());
+//! let queue = CommandQueue::new(&ctx);
 //! let x = ctx.create_buffer_from(&vec![1.0f32; 1024]).unwrap();
 //! let y = ctx.create_buffer_from(&vec![2.0f32; 1024]).unwrap();
 //! let k = ClosureKernel::new("saxpy", 1024, {
@@ -56,11 +58,21 @@
 //!         y.set(i, y.get(i) + 2.0 * x.get(i));
 //!     }
 //! });
-//! let ev = queue.enqueue_kernel(&k, &NdRange::d1(1024, 64)).unwrap();
-//! assert!(ev.duration().as_nanos() > 0);
+//! queue.enqueue_kernel(&k, &NdRange::d1(1024, 64)).unwrap();
 //! let mut out = vec![0.0f32; 1024];
 //! queue.enqueue_read_buffer(&y, &mut out).unwrap();
 //! assert!(out.iter().all(|&v| v == 4.0));
+//!
+//! // Price: the tape on the device's modeled clock.
+//! let tape = ctx.finish_recording();
+//! let priced = CommandQueue::new(&Context::new(device)).with_profiling();
+//! let events: Vec<Event> = tape
+//!     .iter()
+//!     .filter_map(|cmd| priced.enqueue_recorded(cmd).unwrap())
+//!     .collect();
+//! assert_eq!(events[0].name, "saxpy");
+//! assert!(events[0].duration().as_nanos() > 0);
+//! assert!(events[0].counters.is_some());
 //! ```
 
 mod backend;

@@ -13,10 +13,13 @@
 //! cost more than the kernel), larger ones fan out across host threads by
 //! *index* with no `Vec<WorkGroup>` ever materialized, the same
 //! decomposition Intel's OpenCL CPU runtime applies. Work-items within a
-//! group always run in local-id order. Simulated devices execute
-//! identically (results must be real) but are *timed* by the `eod-devsim`
-//! model, with the queue clock advancing in modeled time; how a launch was
-//! scheduled can never perturb modeled time.
+//! group always run in local-id order.
+//!
+//! A live command — a launch or a transfer — is timed by the host wall
+//! clock on every device; on a recording context it is also taped. Modeled
+//! time comes from one place: [`CommandQueue::enqueue_recorded`] prices a
+//! taped command on a simulated device with the `eod-devsim` model, so how
+//! a launch was scheduled can never perturb modeled time.
 
 use crate::backend::{adaptive_inline, run_groups, run_vectorized};
 use crate::buffer::Buffer;
@@ -42,12 +45,12 @@ pub struct CommandQueue {
     /// Run every launch through its per-item body (the reference queue).
     per_item: bool,
     /// Queue clock in seconds, stored as `f64` bits so advancing it is a
-    /// CAS instead of a mutex acquisition: wall-anchored for native,
-    /// modeled for simulated devices. Monotone non-decreasing, so the
+    /// CAS instead of a mutex acquisition: host wall time for live
+    /// commands, modeled time for priced ones. Monotone non-decreasing, so the
     /// bit-level CAS never sees the same value for two distinct clocks.
     clock: AtomicU64,
-    /// Replay mode (simulated devices only): skip functional re-execution of
-    /// kernels and advance modeled time only. See [`CommandQueue::set_replay`].
+    /// Replay mode (simulated devices only): skip functional re-execution
+    /// of kernels. See [`CommandQueue::set_replay`].
     replay: AtomicBool,
     /// Lock-free "is a sink attached?" flag mirroring `trace`, so the
     /// per-command fast path is one relaxed load instead of a mutex.
@@ -87,15 +90,13 @@ impl CommandQueue {
 
     /// Enable or disable replay mode.
     ///
-    /// Benchmark iterations are idempotent (same inputs, same outputs), so a
-    /// simulated device that has executed an iteration once — and had its
-    /// results verified — does not need to recompute it to *time* the next
-    /// 49 samples: in replay mode, `enqueue_kernel` skips the functional
-    /// execution and only draws a fresh modeled time from the device's
-    /// noise stream. This keeps figure regeneration at `large` problem
-    /// sizes tractable without weakening correctness checks (the first
-    /// iteration of every run is always executed for real). Replay is a
-    /// no-op on the native device, where timing *is* the execution.
+    /// Benchmark iterations are idempotent (same inputs, same outputs), so
+    /// once an iteration has executed — and been verified — recording the
+    /// next one needs only its commands: in replay mode `enqueue_kernel`
+    /// on a simulated device tapes the launch and its profile but skips
+    /// the functional execution. A model-only recording replays its first
+    /// iteration too. Replay is a no-op on the native device, where timing
+    /// *is* the execution.
     pub fn set_replay(&self, on: bool) {
         self.replay.store(on, Ordering::Relaxed);
     }
@@ -182,8 +183,9 @@ impl CommandQueue {
         &self.ctx
     }
 
-    /// Seconds elapsed on the queue clock (modeled time for simulated
-    /// devices — the harness reads this as "device wall time").
+    /// Seconds elapsed on the queue clock (modeled time on a queue that
+    /// prices recorded commands — the harness reads this as "device wall
+    /// time").
     pub fn clock_seconds(&self) -> f64 {
         f64::from_bits(self.clock.load(Ordering::Relaxed))
     }
@@ -220,9 +222,8 @@ impl CommandQueue {
         }
     }
 
-    /// Execute one launch on the host; returns the elapsed wall seconds.
-    fn launch(&self, kernel: &dyn Kernel, range: &NdRange) -> f64 {
-        let start = Instant::now();
+    /// Execute one launch on the host.
+    fn launch(&self, kernel: &dyn Kernel, range: &NdRange) {
         let reference = PerItem(kernel);
         let kernel: &dyn Kernel = if self.per_item { &reference } else { kernel };
         match kernel.body() {
@@ -231,7 +232,6 @@ impl CommandQueue {
                 run_groups(kernel, range, adaptive_inline(range.global_volume()))
             }
         }
-        start.elapsed().as_secs_f64()
     }
 
     fn make_event(
@@ -255,13 +255,10 @@ impl CommandQueue {
         }
     }
 
-    /// A kernel launch timed by the device model: one draw from the
-    /// device's noise stream, counters for the profile, and the queue
-    /// clock advanced by the noisy cost. Live simulated launches and
-    /// recorded ones both end here, so the two cannot drift apart.
-    /// Replayed launches synthesize counters too (events keep
-    /// `counters: Some(..)`); it is a memo lookup per launch, not a
-    /// derivation.
+    /// A recorded launch timed by the device model: one draw from the
+    /// device's noise stream, counters for the profile (a memo lookup per
+    /// launch, not a derivation), and the queue clock advanced by the
+    /// noisy cost.
     fn modeled_kernel(&self, sim: &SimBackend, name: &str, profile: KernelProfile) -> Event {
         let queued = self.clock_seconds();
         let cost = sim.noisy_cost(&profile);
@@ -291,17 +288,19 @@ impl CommandQueue {
         ev
     }
 
-    /// A transfer of `bytes` timed by the device's host-link model.
+    /// A recorded transfer of `bytes` timed by the device's host-link model.
     fn modeled_transfer(&self, sim: &SimBackend, kind: CommandKind, bytes: u64) -> Event {
         self.transfer_event(kind, sim.transfer.transfer_time(bytes).as_secs_f64())
     }
 
-    /// Price one recorded [`Command`] on this queue's simulated device as
-    /// the live call that recorded it would have been priced here, without
-    /// executing anything: an allocation is admitted against this device's
-    /// memory (or refused with the error a live allocation would get), a
-    /// transfer or a launch advances the clock and returns its event.
-    /// Native devices time real execution and have nothing to price.
+    /// Price one recorded [`Command`] on this queue's simulated device,
+    /// without executing anything: an allocation is admitted against this
+    /// device's memory (or refused with the error a live allocation would
+    /// get), a transfer or a launch advances the modeled clock and returns
+    /// its event, with the launch's
+    /// [`KernelCost`](eod_devsim::model::KernelCost) and counters. This is
+    /// the only place modeled time comes from. Native devices time real
+    /// execution and have nothing to price.
     pub fn enqueue_recorded(&self, cmd: &Command) -> Result<Option<Event>> {
         let Timing::Modeled(sim) = self.device().timing() else {
             return Err(Error::InvalidValue(
@@ -339,31 +338,24 @@ impl CommandQueue {
             profile: profile.clone(),
         });
 
-        match self.device().timing() {
-            Timing::Wall => {
-                let queued = self.clock_seconds();
-                let elapsed = self.launch(kernel, range);
-                let (start, end) = self.advance_clock(elapsed);
-                let mut ev = self.make_event(
-                    kernel.name().to_string(),
-                    CommandKind::Kernel,
-                    queued,
-                    start,
-                    end,
-                );
-                ev.profile = Some(profile);
-                self.trace_event(&ev);
-                Ok(ev)
-            }
-            Timing::Modeled(sim) => {
-                // Real execution for correct results — unless this queue is
-                // replaying an already-executed, verified iteration.
-                if !self.replay() {
-                    self.launch(kernel, range);
-                }
-                Ok(self.modeled_kernel(sim, kernel.name(), profile))
-            }
+        // Replay mode skips a simulated launch: its results are already
+        // checked, and only its profile was wanted.
+        let queued = self.clock_seconds();
+        let started = Instant::now();
+        if !self.replay() || self.device().is_native() {
+            self.launch(kernel, range);
         }
+        let (start, end) = self.advance_clock(started.elapsed().as_secs_f64());
+        let mut ev = self.make_event(
+            kernel.name().to_string(),
+            CommandKind::Kernel,
+            queued,
+            start,
+            end,
+        );
+        ev.profile = Some(profile);
+        self.trace_event(&ev);
+        Ok(ev)
     }
 
     /// Copy host data into a buffer (`clEnqueueWriteBuffer`).
@@ -392,14 +384,7 @@ impl CommandQueue {
         // hosts going through safe APIs get the atomic per-element path
         // instead.
         unsafe { buf.copy_from_slice(data) };
-        Ok(match self.device().timing() {
-            Timing::Wall => {
-                self.transfer_event(CommandKind::WriteBuffer, wall.elapsed().as_secs_f64())
-            }
-            Timing::Modeled(sim) => {
-                self.modeled_transfer(sim, CommandKind::WriteBuffer, buf.bytes())
-            }
-        })
+        Ok(self.transfer_event(CommandKind::WriteBuffer, wall.elapsed().as_secs_f64()))
     }
 
     /// Copy a buffer back to host memory (`clEnqueueReadBuffer`).
@@ -421,14 +406,7 @@ impl CommandQueue {
         // execution means no enqueued kernel still runs, and the
         // documented transfer contract excludes other threads.
         unsafe { buf.copy_to_slice(out) };
-        Ok(match self.device().timing() {
-            Timing::Wall => {
-                self.transfer_event(CommandKind::ReadBuffer, wall.elapsed().as_secs_f64())
-            }
-            Timing::Modeled(sim) => {
-                self.modeled_transfer(sim, CommandKind::ReadBuffer, buf.bytes())
-            }
-        })
+        Ok(self.transfer_event(CommandKind::ReadBuffer, wall.elapsed().as_secs_f64()))
     }
 }
 
@@ -440,9 +418,8 @@ mod tests {
     use crate::platform::Platform;
     use eod_devsim::catalog::DeviceId;
 
-    fn saxpy_on(device: Device) -> (Vec<f32>, Event) {
-        let ctx = Context::new(device);
-        let queue = CommandQueue::new(&ctx).with_profiling();
+    fn saxpy_on(ctx: &Context) -> (Vec<f32>, Event) {
+        let queue = CommandQueue::new(ctx).with_profiling();
         let n = 4096;
         let x = ctx.create_buffer_from(&vec![3.0f32; n]).unwrap();
         let y = ctx.create_buffer_from(&vec![1.0f32; n]).unwrap();
@@ -459,9 +436,21 @@ mod tests {
         (out, ev)
     }
 
+    fn gtx() -> Device {
+        Platform::simulated().device_by_name("GTX 1080").unwrap()
+    }
+
+    /// `tape` priced on a fresh queue of `device`: the events it returns.
+    fn price(device: &Device, tape: &[Command]) -> Vec<Event> {
+        let queue = CommandQueue::new(&Context::new(device.clone())).with_profiling();
+        tape.iter()
+            .filter_map(|cmd| queue.enqueue_recorded(cmd).unwrap())
+            .collect()
+    }
+
     #[test]
     fn native_execution_is_correct_and_timed() {
-        let (out, ev) = saxpy_on(Device::native());
+        let (out, ev) = saxpy_on(&Context::new(Device::native()));
         assert!(out.iter().all(|&v| v == 7.0));
         assert!(ev.end >= ev.start);
         assert_eq!(ev.kind, CommandKind::Kernel);
@@ -470,9 +459,16 @@ mod tests {
 
     #[test]
     fn simulated_execution_is_correct_with_modeled_time() {
-        let gtx = Platform::simulated().device_by_name("GTX 1080").unwrap();
-        let (out, ev) = saxpy_on(gtx);
+        let ctx = Context::recording(gtx());
+        let (out, live) = saxpy_on(&ctx);
         assert!(out.iter().all(|&v| v == 7.0), "results must still be real");
+        assert!(live.cost.is_none(), "a live call is not priced");
+        let priced = price(&gtx(), &ctx.finish_recording());
+        let ev = &priced[0];
+        assert_eq!(
+            (ev.kind, ev.profile.as_ref()),
+            (live.kind, live.profile.as_ref())
+        );
         // Modeled time must include at least the 9 µs launch overhead.
         assert!(ev.duration().as_secs_f64() >= 8e-6, "{:?}", ev.duration());
         assert!(ev.counters.is_some());
@@ -513,22 +509,21 @@ mod tests {
 
     #[test]
     fn simulated_transfers_model_pcie() {
-        let gtx = Platform::simulated().device_by_name("GTX 1080").unwrap();
-        let ctx = Context::new(gtx);
+        let ctx = Context::recording(gtx());
         let queue = CommandQueue::new(&ctx).with_profiling();
         let n = 1 << 20;
         let b = ctx.create_buffer::<f32>(n).unwrap();
         let data = vec![0.0f32; n];
-        let ev = queue.enqueue_write_buffer(&b, &data).unwrap();
+        queue.enqueue_write_buffer(&b, &data).unwrap();
+        let priced = price(&gtx(), &ctx.finish_recording());
         // 4 MiB over 12 GB/s ≈ 350 µs; allow generous bounds.
-        let t = ev.duration().as_secs_f64();
+        let t = priced[0].duration().as_secs_f64();
         assert!(t > 1e-4 && t < 1e-2, "t = {t}");
     }
 
     #[test]
     fn replay_skips_execution_but_advances_clock() {
-        let gtx = Platform::simulated().device_by_name("GTX 1080").unwrap();
-        let ctx = Context::new(gtx);
+        let ctx = Context::recording(gtx());
         let queue = CommandQueue::new(&ctx).with_profiling();
         let n = 256;
         let counter = ctx.create_buffer::<u32>(n).unwrap();
@@ -543,14 +538,22 @@ mod tests {
         queue.enqueue_kernel(&k, &range).unwrap();
         assert_eq!(counter.get(0), 1);
         queue.set_replay(true);
-        let t0 = queue.clock_seconds();
-        let ev = queue.enqueue_kernel(&k, &range).unwrap();
+        queue.enqueue_kernel(&k, &range).unwrap();
         assert_eq!(counter.get(0), 1, "replay must not re-execute");
-        assert!(queue.clock_seconds() > t0, "clock must still advance");
-        assert!(ev.duration().as_secs_f64() > 0.0);
         queue.set_replay(false);
         queue.enqueue_kernel(&k, &range).unwrap();
         assert_eq!(counter.get(0), 2, "execution resumes after replay");
+        // The replayed launch is taped like the others, and priced: it
+        // advances the modeled clock.
+        let tape = ctx.finish_recording();
+        assert_eq!(tape[1], tape[2]);
+        let priced = price(&gtx(), &tape);
+        assert_eq!(priced.len(), 3);
+        assert!(priced[1].start >= priced[0].end);
+        assert!(
+            priced[1].duration().as_secs_f64() > 0.0,
+            "clock must still advance"
+        );
     }
 
     #[test]
@@ -572,8 +575,7 @@ mod tests {
     fn trace_spans_match_event_timestamps() {
         // Acceptance: kernel/write/read slice durations equal the
         // corresponding Event END − START values.
-        let gtx = Platform::simulated().device_by_name("GTX 1080").unwrap();
-        let ctx = Context::new(gtx);
+        let ctx = Context::recording(gtx());
         let sink = std::sync::Arc::new(TraceSink::new());
         let queue = CommandQueue::new(&ctx)
             .with_profiling()
@@ -608,16 +610,22 @@ mod tests {
             assert!((span.start_us - ev.start * 1e6).abs() < 1e-9);
             assert_eq!(span.track, eod_telemetry::Track::Device);
         }
-        let kernel_span = &spans[1];
+        assert_eq!(spans[1].category, "kernel");
+        // Detaching the sink stops recording.
+        queue.set_trace(None);
+        queue.enqueue_write_buffer(&b, &data).unwrap();
+        assert!(sink.is_empty());
+        // Priced kernels attach their modeled cost breakdown.
+        let priced = CommandQueue::new(&Context::new(gtx())).with_trace(Arc::clone(&sink));
+        for cmd in ctx.finish_recording() {
+            priced.enqueue_recorded(&cmd).unwrap();
+        }
+        let kernel_span = &sink.drain()[1];
         assert_eq!(kernel_span.category, "kernel");
         assert!(
             kernel_span.args.iter().any(|(k, _)| k == "cost_launch_us"),
             "simulated kernels attach the KernelCost breakdown"
         );
-        // Detaching the sink stops recording.
-        queue.set_trace(None);
-        queue.enqueue_write_buffer(&b, &data).unwrap();
-        assert!(sink.is_empty());
     }
 
     /// A kernel with order-sensitive f32 math per item: any change in which
@@ -881,72 +889,63 @@ mod tests {
     }
 
     #[test]
-    fn recorded_commands_price_to_the_events_the_live_calls_produced() {
-        // Live on a recording context, then the tape priced on a fresh
-        // queue of the same device with the noise stream restarted: every
-        // timestamp, cost and counter equal, bit for bit.
+    fn recorded_commands_price_to_events_that_mirror_the_live_calls() {
+        // Live on a recording context, then the tape priced twice on fresh
+        // queues of the same device with the noise stream restarted: one
+        // event per live call, with its name, kind and profile, and every
+        // timestamp, cost and counter equal between the pricings, bit for
+        // bit.
         let id = DeviceId::by_name("K40m").unwrap();
         let device = Device::simulated_seeded(id, 5);
         let n = 2048;
-        let live: Vec<Event> = {
-            let ctx = Context::recording(device.clone());
-            let queue = CommandQueue::new(&ctx).with_profiling();
-            let b = ctx.create_buffer::<f32>(n).unwrap();
-            let k = ClosureKernel::new("double", n as u64, {
-                let b = b.view();
-                move |item: &WorkItem| {
-                    let i = item.global_id(0);
-                    b.set(i, b.get(i) * 2.0);
-                }
-            });
-            let mut out = vec![0.0f32; n];
-            let events = vec![
-                queue.enqueue_write_buffer(&b, &vec![1.0f32; n]).unwrap(),
-                queue.enqueue_kernel(&k, &NdRange::d1(n, 64)).unwrap(),
-                queue.enqueue_kernel(&k, &NdRange::d1(n, 64)).unwrap(),
-                queue.enqueue_read_buffer(&b, &mut out).unwrap(),
-            ];
-            assert_eq!(out[0], 4.0);
-            let tape = ctx.finish_recording();
-            assert_eq!(tape.len(), 5, "one allocation, four queue commands");
-            assert_eq!(
-                tape[0],
-                Command::Alloc {
-                    bytes: 4 * n as u64
-                }
-            );
-            assert_eq!(
-                tape[1],
-                Command::Write {
-                    bytes: 4 * n as u64
-                }
-            );
-            assert!(matches!(&tape[2], Command::Kernel { name, .. } if name == "double"));
-
-            device.reseed_noise(5);
-            let ctx = Context::new(device.clone());
-            let queue = CommandQueue::new(&ctx).with_profiling();
-            let priced: Vec<Event> = tape
-                .iter()
-                .filter_map(|cmd| queue.enqueue_recorded(cmd).unwrap())
-                .collect();
-            assert_eq!(ctx.allocated_bytes(), 4 * n as u64);
-            assert_eq!(priced.len(), events.len());
-            for (p, l) in priced.iter().zip(&events) {
-                assert_eq!((&p.name, p.kind), (&l.name, l.kind));
-                assert_eq!(
-                    [p.queued, p.submit, p.start, p.end].map(f64::to_bits),
-                    [l.queued, l.submit, l.start, l.end].map(f64::to_bits),
-                    "{}",
-                    l.name
-                );
-                assert_eq!(p.counters, l.counters);
-                assert_eq!(p.cost, l.cost);
-                assert_eq!(p.profile, l.profile);
+        let ctx = Context::recording(device.clone());
+        let queue = CommandQueue::new(&ctx).with_profiling();
+        let b = ctx.create_buffer::<f32>(n).unwrap();
+        let k = ClosureKernel::new("double", n as u64, {
+            let b = b.view();
+            move |item: &WorkItem| {
+                let i = item.global_id(0);
+                b.set(i, b.get(i) * 2.0);
             }
-            events
+        });
+        let mut out = vec![0.0f32; n];
+        let live = vec![
+            queue.enqueue_write_buffer(&b, &vec![1.0f32; n]).unwrap(),
+            queue.enqueue_kernel(&k, &NdRange::d1(n, 64)).unwrap(),
+            queue.enqueue_kernel(&k, &NdRange::d1(n, 64)).unwrap(),
+            queue.enqueue_read_buffer(&b, &mut out).unwrap(),
+        ];
+        assert_eq!(out[0], 4.0);
+        let tape = ctx.finish_recording();
+        assert_eq!(tape.len(), 5, "one allocation, four queue commands");
+        let bytes = 4 * n as u64;
+        assert_eq!(tape[0], Command::Alloc { bytes });
+        assert_eq!(tape[1], Command::Write { bytes });
+        assert!(matches!(&tape[2], Command::Kernel { name, .. } if name == "double"));
+
+        let priced = |at: &Context| -> Vec<Event> {
+            device.reseed_noise(5);
+            let queue = CommandQueue::new(at).with_profiling();
+            tape.iter()
+                .filter_map(|cmd| queue.enqueue_recorded(cmd).unwrap())
+                .collect()
         };
-        assert!(live[1].end > live[1].start);
+        let at = Context::new(device.clone());
+        let (first, again) = (priced(&at), priced(&Context::new(device.clone())));
+        assert_eq!(at.allocated_bytes(), bytes);
+        assert_eq!(first.len(), live.len());
+        for ((p, q), l) in first.iter().zip(&again).zip(&live) {
+            assert_eq!((&p.name, p.kind, &p.profile), (&l.name, l.kind, &l.profile));
+            assert_eq!(
+                [p.queued, p.submit, p.start, p.end].map(f64::to_bits),
+                [q.queued, q.submit, q.start, q.end].map(f64::to_bits),
+                "{}",
+                l.name
+            );
+            assert_eq!((&p.counters, &p.cost), (&q.counters, &q.cost));
+        }
+        assert!(first[1].cost.is_some() && live[1].cost.is_none());
+        assert!(first[1].end > first[1].start);
         // Native devices time execution; there is nothing to price.
         let queue = CommandQueue::new(&Context::new(Device::native()));
         assert!(queue.enqueue_recorded(&Command::Read { bytes: 4 }).is_err());

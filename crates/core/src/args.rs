@@ -15,40 +15,40 @@ pub struct DeviceSelector {
     pub platform: usize,
     /// Device index (`-d`).
     pub device: usize,
-    /// Device type filter (`-t`): 0 = CPU, 1 = GPU, 2 = MIC (informational
-    /// in this runtime; selection is by platform/device index).
-    pub type_id: usize,
+    /// Device type filter (`-t`): 0 = CPU, 1 = GPU, 2 = MIC. Optional and
+    /// informational in this runtime; selection is by platform/device
+    /// index.
+    pub type_id: Option<usize>,
 }
 
 impl DeviceSelector {
     /// Render as the paper prints it.
     pub fn render(&self) -> String {
-        format!(
-            "-p {} -d {} -t {}",
-            self.platform, self.device, self.type_id
-        )
+        let mut s = format!("-p {} -d {}", self.platform, self.device);
+        if let Some(t) = self.type_id {
+            s += &format!(" -t {t}");
+        }
+        s
     }
 
-    /// Parse a `-p P -d D -t T` string (flags in any order).
+    /// Parse a `-p P -d D [-t T]` string (flags in any order). Any other
+    /// token, a flag without a number, or a missing `-p`/`-d` is refused.
     pub fn parse(s: &str) -> Option<Self> {
         let tokens: Vec<&str> = s.split_whitespace().collect();
-        let mut p = None;
-        let mut d = None;
-        let mut t = None;
-        let mut i = 0;
-        while i + 1 < tokens.len() {
-            match tokens[i] {
-                "-p" => p = tokens[i + 1].parse().ok(),
-                "-d" => d = tokens[i + 1].parse().ok(),
-                "-t" => t = tokens[i + 1].parse().ok(),
+        let (mut p, mut d, mut t) = (None, None, None);
+        for pair in tokens.chunks(2) {
+            let value = pair.get(1)?.parse().ok()?;
+            match pair[0] {
+                "-p" => p = Some(value),
+                "-d" => d = Some(value),
+                "-t" => t = Some(value),
                 _ => return None,
             }
-            i += 2;
         }
         Some(Self {
             platform: p?,
             device: d?,
-            type_id: t?,
+            type_id: t,
         })
     }
 }
@@ -295,7 +295,7 @@ mod tests {
         let s = DeviceSelector {
             platform: 1,
             device: 0,
-            type_id: 1,
+            type_id: Some(1),
         };
         assert_eq!(s.render(), "-p 1 -d 0 -t 1");
         assert_eq!(DeviceSelector::parse("-p 1 -d 0 -t 1"), Some(s));
@@ -304,8 +304,31 @@ mod tests {
             Some(s),
             "any order"
         );
-        assert_eq!(DeviceSelector::parse("-p 1 -d 0"), None, "missing -t");
         assert_eq!(DeviceSelector::parse("-x 1 -d 0 -t 0"), None);
+    }
+
+    #[test]
+    fn selector_type_is_optional() {
+        let s = DeviceSelector::parse("-p 1 -d 4").unwrap();
+        assert_eq!((s.platform, s.device, s.type_id), (1, 4, None));
+        assert_eq!(s.render(), "-p 1 -d 4");
+        assert_eq!(DeviceSelector::parse(&s.render()), Some(s));
+        assert_eq!(DeviceSelector::parse("-d 4 -p 1"), Some(s), "any order");
+        assert_eq!(DeviceSelector::parse("-p 1 -t 0"), None, "-d is not");
+    }
+
+    #[test]
+    fn selector_rejects_unknown_or_incomplete_tokens() {
+        for bad in [
+            "-p 1 -d 4 -x 0",
+            "-p 1 -d 4 extra",
+            "-p 1 -d 4 -t",
+            "-p 1 -d four",
+            "-p 1 -d 4 -t gpu",
+            "",
+        ] {
+            assert_eq!(DeviceSelector::parse(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
@@ -411,7 +434,7 @@ mod tests {
             DeviceSelector {
                 platform: 1,
                 device: 0,
-                type_id: 0,
+                type_id: Some(0),
             },
             ProblemSize::Tiny,
         )

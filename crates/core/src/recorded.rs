@@ -1,28 +1,30 @@
-//! Execute once, price everywhere.
+//! Record once, price everywhere.
 //!
 //! Nothing a simulated group *executes* depends on its device: the
 //! workload is generated from `(benchmark, size, seed)`, its kernels run
 //! on the host, and the serial verify reads the result back. The device
 //! only prices what was asked of it — allocation sizes, transfer bytes and
 //! one [`KernelProfile`] per launch. A [`RecordedRun`] is that request
-//! list, taken once from a live run by a recording
-//! [`Context`]; a [`Source`] is what a measurement group iterates, and it
-//! is either the live workload (tapped, when this group is the one that
-//! records) or a recorded run priced on the group's own queue.
+//! list, taken once by [`record`] on a recording [`Context`]; a [`Source`]
+//! is what a measurement group iterates: the recorded run priced on the
+//! group's own queue, or — on the native device, which times execution —
+//! the live workload.
 //!
 //! Recorded runs live in a [`RunLog`] (the process-wide one unless the
 //! caller passes another), keyed by the workload's identity ([`RunKey`]).
-//! The first requester of a key leads: it runs live and publishes.
-//! Requesters that arrive meanwhile wait for that one recording instead of
-//! repeating it; if the leader fails they take over, one at a time. Failed
-//! runs are never stored.
+//! The first requester of a key leads: it records, publishes, then prices
+//! the run exactly as every later requester does. Requesters that arrive
+//! meanwhile wait for that one recording instead of repeating it; if the
+//! leader fails they take over, one at a time. Failed runs are never
+//! stored.
 //!
-//! **Pricing is bit-exact.** `Event::duration()` is `(start + cost) −
-//! start` on the absolute queue clock, so a priced group must issue the
-//! same clock advances in the same order as a live one: set-up transfers,
-//! first-iteration launches, verify reads, then the sample loop, with one
-//! noise draw per launch. [`Source`] keeps the phases in that order and
-//! `CommandQueue::enqueue_recorded` shares the live path's pricing code.
+//! **Pricing is deterministic.** A recording draws nothing from a device's
+//! noise stream, so a group that reseeds its device and then prices set-up
+//! transfers, first-iteration launches, verify reads and the sample loop,
+//! in that order, issues the same clock advances and noise draws whichever
+//! group recorded the run, on whichever device. `Event::duration()` is
+//! `(start + cost) − start` on the absolute queue clock, so the order is
+//! part of every figure's bytes.
 
 use crate::benchmark::{Benchmark, IterationOutput, Workload};
 use crate::sizes::ProblemSize;
@@ -212,7 +214,7 @@ pub struct RunLog {
 pub enum Acquired<'a> {
     /// Someone recorded this run; price it.
     Hit(Arc<RecordedRun>),
-    /// Nobody has: run live, then [`Lead::publish`].
+    /// Nobody has: [`Lead::record`] it.
     Lead(Lead<'a>),
 }
 
@@ -330,207 +332,87 @@ impl RunLog {
     }
 }
 
-/// What a measurement group iterates through its phases — set-up, first
-/// iteration, verify, then the sample loop: the live workload, or a
-/// recorded run priced on the group's queue. Call the phases in that
-/// order; on a simulated device every iteration after the first must be
-/// enqueued in replay mode (`CommandQueue::set_replay`), which is what
-/// makes the second one the steady state the run records.
-pub struct Source {
-    backing: Backing,
-    /// `run_iteration` calls so far.
-    iterations: usize,
-    origin: &'static str,
+/// Why [`record`] produced no run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecordError {
+    /// The deadline passed between two phases.
+    TimedOut,
+    /// The first iteration failed the serial verify.
+    Unverified(String),
+    /// Set-up or an iteration failed, or a phase cannot be reproduced from
+    /// the tape.
+    Failed(String),
 }
 
-enum Backing {
-    Live {
-        workload: Box<dyn Workload>,
-        /// Filled phase by phase from the context's tape.
-        run: RecordedRun,
-        lead: Option<Lead<'static>>,
-    },
-    Log(Arc<RecordedRun>),
+impl std::fmt::Display for RecordError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecordError::TimedOut => f.write_str("timed out while recording"),
+            RecordError::Unverified(e) => write!(f, "verification failed: {e}"),
+            RecordError::Failed(e) => f.write_str(e),
+        }
+    }
 }
 
-impl Source {
-    /// The source for `benchmark × size × seed` on `device`: the native
-    /// device always runs live and records nothing; a simulated one prices
-    /// the recorded run if `log` has it (waiting for a recording in
-    /// flight), and otherwise runs live and records into `log`. `None`
-    /// when `deadline` passed during that wait.
-    pub fn acquire(
-        log: &'static RunLog,
-        benchmark: &dyn Benchmark,
-        size: ProblemSize,
-        seed: u64,
-        verified: bool,
-        device: &Device,
-        deadline: Option<Instant>,
-    ) -> Option<Self> {
-        let lead = if device.is_native() {
-            None
+/// Run `workload` once on a recording context of `device` with its own
+/// untraced queue, and keep what it asked of the device: set-up (timed
+/// into `host_setup`), the first iteration, the verify reads when
+/// `verified`, and one steady-state iteration in replay mode. A model-only
+/// recording (`!verified`) replays its first iteration too, so no kernel
+/// body runs. The deadline is checked between phases.
+///
+/// The runner sums the events a phase *returns*, so each phase must return
+/// exactly the queue commands it enqueued; one that does not (or a steady
+/// iteration that enqueues nothing) cannot be recorded.
+pub fn record(
+    mut workload: Box<dyn Workload>,
+    device: &Device,
+    verified: bool,
+    deadline: Option<Instant>,
+) -> std::result::Result<RecordedRun, RecordError> {
+    let ctx = Context::recording(device.clone());
+    let queue = CommandQueue::new(&ctx).with_profiling();
+    let failed = |e: Error| RecordError::Failed(e.to_string());
+    let in_time = || match deadline {
+        Some(at) if Instant::now() >= at => Err(RecordError::TimedOut),
+        _ => Ok(()),
+    };
+    let taped = |events: &[Event]| {
+        let commands = ctx.take_recorded();
+        if mirrors(&commands, events) {
+            Ok(commands)
         } else {
-            let key = RunKey::new(benchmark.name(), size, seed, verified, device);
-            match log.acquire(key, deadline)? {
-                Acquired::Hit(run) => {
-                    return Some(Self {
-                        backing: Backing::Log(run),
-                        iterations: 0,
-                        origin: "hit",
-                    })
-                }
-                Acquired::Lead(lead) => Some(lead),
-            }
-        };
-        let workload = benchmark.workload(size, seed);
-        Some(Self {
-            origin: if lead.is_some() { "recorded" } else { "live" },
-            backing: Backing::Live {
-                run: RecordedRun {
-                    footprint_bytes: workload.footprint_bytes(),
-                    ..RecordedRun::default()
-                },
-                workload,
-                lead,
-            },
-            iterations: 0,
-        })
-    }
-
-    /// `"hit"` (priced from the log), `"recorded"` (ran live and led the
-    /// recording) or `"live"` (native: never logged).
-    pub fn origin(&self) -> &'static str {
-        self.origin
-    }
-
-    /// The context this source's group must run in: a recording one when
-    /// the group leads a recording.
-    pub fn context(&self, device: Device) -> Context {
-        match &self.backing {
-            Backing::Live { lead: Some(_), .. } => Context::recording(device),
-            _ => Context::new(device),
+            Err(RecordError::Failed(UNRECORDABLE.into()))
         }
+    };
+    let mut run = RecordedRun {
+        footprint_bytes: workload.footprint_bytes(),
+        verified,
+        ..RecordedRun::default()
+    };
+    let started = Instant::now();
+    let events = workload.setup(&ctx, &queue).map_err(failed)?;
+    run.host_setup = started.elapsed();
+    run.setup = taped(&events)?;
+    in_time()?;
+    queue.set_replay(!verified);
+    run.first = taped(&workload.run_iteration(&queue).map_err(failed)?.events)?;
+    in_time()?;
+    if verified {
+        workload.verify(&queue).map_err(RecordError::Unverified)?;
+        run.verify = ctx.take_recorded();
+        in_time()?;
     }
-
-    fn run(&self) -> &RecordedRun {
-        match &self.backing {
-            Backing::Live { run, .. } => run,
-            Backing::Log(run) => run,
-        }
+    queue.set_replay(true);
+    run.replay = taped(&workload.run_iteration(&queue).map_err(failed)?.events)?;
+    if run.replay.is_empty() {
+        return Err(RecordError::Failed(UNRECORDABLE.into()));
     }
-
-    /// `Workload::footprint_bytes` of the live or the recorded workload.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.run().footprint_bytes
-    }
-
-    /// Host wall time of set-up, once [`Source::setup`] has returned: as
-    /// just measured when live, as measured by the recording when priced.
-    pub fn host_setup(&self) -> Duration {
-        self.run().host_setup
-    }
-
-    /// `Workload::setup` on the queue's context: its transfer events.
-    pub fn setup(&mut self, queue: &CommandQueue) -> Result<Vec<Event>> {
-        match &mut self.backing {
-            Backing::Live {
-                workload,
-                run,
-                lead,
-            } => {
-                let started = Instant::now();
-                let events = workload.setup(queue.context(), queue)?;
-                run.host_setup = started.elapsed();
-                run.setup = tap(lead, queue, Some(&events[..]));
-                Ok(events)
-            }
-            Backing::Log(run) => price(&run.setup, queue),
-        }
-    }
-
-    /// `Workload::run_iteration`.
-    pub fn run_iteration(&mut self, queue: &CommandQueue) -> Result<IterationOutput> {
-        let nth = self.iterations;
-        self.iterations += 1;
-        let (out, published) = match &mut self.backing {
-            Backing::Live {
-                workload,
-                run,
-                lead,
-            } => {
-                let out = workload.run_iteration(queue)?;
-                let published = match nth {
-                    0 => {
-                        run.first = tap(lead, queue, Some(&out.events[..]));
-                        None
-                    }
-                    1 => {
-                        run.replay = tap(lead, queue, Some(&out.events[..]));
-                        queue.context().finish_recording();
-                        lead.take()
-                            .and_then(|lead| lead.publish(std::mem::take(run)))
-                    }
-                    _ => None,
-                };
-                (out, published)
-            }
-            Backing::Log(run) => {
-                let list = if nth == 0 { &run.first } else { &run.replay };
-                (IterationOutput::new(price(list, queue)?), None)
-            }
-        };
-        // The recording is complete and stored: drop the workload and its
-        // buffers and read the rest of the loop from the log, as every
-        // other group with this key will.
-        if let Some(run) = published {
-            self.backing = Backing::Log(run);
-        }
-        Ok(out)
-    }
-
-    /// `Workload::verify`: on a recorded run, its reads priced and the
-    /// recording's verdict.
-    pub fn verify(&mut self, queue: &CommandQueue) -> std::result::Result<(), String> {
-        match &mut self.backing {
-            Backing::Live {
-                workload,
-                run,
-                lead,
-            } => {
-                workload.verify(queue)?;
-                run.verify = tap(lead, queue, None);
-                run.verified = true;
-                Ok(())
-            }
-            Backing::Log(run) => {
-                price(&run.verify, queue).map_err(|e| e.to_string())?;
-                if run.verified {
-                    Ok(())
-                } else {
-                    Err("the recorded run was not verified".into())
-                }
-            }
-        }
-    }
+    Ok(run)
 }
 
-/// Take the phase that just ran off the context's tape. A phase whose
-/// returned events are not exactly the queue commands it enqueued cannot
-/// be reproduced from the tape (the runner sums the *returned* events), so
-/// such a run gives up its lead and stays unrecorded.
-fn tap(
-    lead: &mut Option<Lead<'static>>,
-    queue: &CommandQueue,
-    events: Option<&[Event]>,
-) -> Vec<Command> {
-    let commands = queue.context().take_recorded();
-    if lead.is_some() && events.is_some_and(|events| !mirrors(&commands, events)) {
-        *lead = None;
-        queue.context().finish_recording();
-    }
-    commands
-}
+const UNRECORDABLE: &str =
+    "cannot be recorded: an iteration enqueued nothing, or returned other events than it enqueued";
 
 fn mirrors(commands: &[Command], events: &[Event]) -> bool {
     let mut enqueued = commands.iter().filter_map(|c| match c {
@@ -543,6 +425,125 @@ fn mirrors(commands: &[Command], events: &[Event]) -> bool {
         .iter()
         .all(|e| enqueued.next() == Some((e.kind, e.name.as_str())))
         && enqueued.next().is_none()
+}
+
+impl Lead<'_> {
+    /// [`record`] `workload` on `device` as this lead's key asks —
+    /// verified or model-only — and publish the run.
+    pub fn record(
+        self,
+        workload: Box<dyn Workload>,
+        device: &Device,
+        deadline: Option<Instant>,
+    ) -> std::result::Result<Arc<RecordedRun>, RecordError> {
+        let run = record(workload, device, self.key.verified, deadline)?;
+        self.publish(run)
+            .ok_or_else(|| RecordError::Failed(UNRECORDABLE.into()))
+    }
+}
+
+/// What a measurement group iterates through its phases — set-up, first
+/// iteration, verify, then the sample loop: the live workload (the native
+/// device, which times execution), or a recorded run priced on the group's
+/// own queue (every simulated device). Call the phases in that order.
+pub struct Source {
+    backing: Backing,
+    /// `run_iteration` calls so far.
+    iterations: usize,
+}
+
+enum Backing {
+    Live {
+        workload: Box<dyn Workload>,
+        host_setup: Duration,
+    },
+    Priced(Arc<RecordedRun>),
+}
+
+impl Source {
+    /// The workload itself, executed and timed on the group's queue.
+    pub fn live(workload: Box<dyn Workload>) -> Self {
+        Self {
+            backing: Backing::Live {
+                workload,
+                host_setup: Duration::ZERO,
+            },
+            iterations: 0,
+        }
+    }
+
+    /// `run`, priced on the group's queue.
+    pub fn priced(run: Arc<RecordedRun>) -> Self {
+        Self {
+            backing: Backing::Priced(run),
+            iterations: 0,
+        }
+    }
+
+    /// `Workload::footprint_bytes` of the live or the recorded workload.
+    pub fn footprint_bytes(&self) -> u64 {
+        match &self.backing {
+            Backing::Live { workload, .. } => workload.footprint_bytes(),
+            Backing::Priced(run) => run.footprint_bytes,
+        }
+    }
+
+    /// Host wall time of set-up, once [`Source::setup`] has returned: as
+    /// just measured when live, as measured by the recording when priced.
+    pub fn host_setup(&self) -> Duration {
+        match &self.backing {
+            Backing::Live { host_setup, .. } => *host_setup,
+            Backing::Priced(run) => run.host_setup,
+        }
+    }
+
+    /// `Workload::setup` on the queue's context: its transfer events.
+    pub fn setup(&mut self, queue: &CommandQueue) -> Result<Vec<Event>> {
+        match &mut self.backing {
+            Backing::Live {
+                workload,
+                host_setup,
+            } => {
+                let started = Instant::now();
+                let events = workload.setup(queue.context(), queue)?;
+                *host_setup = started.elapsed();
+                Ok(events)
+            }
+            Backing::Priced(run) => price(&run.setup, queue),
+        }
+    }
+
+    /// `Workload::run_iteration`.
+    pub fn run_iteration(&mut self, queue: &CommandQueue) -> Result<IterationOutput> {
+        self.iterations += 1;
+        match &mut self.backing {
+            Backing::Live { workload, .. } => workload.run_iteration(queue),
+            Backing::Priced(run) => {
+                let list = if self.iterations == 1 {
+                    &run.first
+                } else {
+                    &run.replay
+                };
+                Ok(IterationOutput::new(price(list, queue)?))
+            }
+        }
+    }
+
+    /// `Workload::verify`: on a recorded run, its reads priced and the
+    /// recording's verdict.
+    pub fn verify(&mut self, queue: &CommandQueue) -> std::result::Result<(), String> {
+        match &mut self.backing {
+            Backing::Live { workload, .. } => workload.verify(queue),
+            Backing::Priced(run) => {
+                price(&run.verify, queue).map_err(|e| e.to_string())?;
+                if run.verified {
+                    Ok(())
+                } else {
+                    Err("the recorded run was not verified".into())
+                }
+            }
+        }
+    }
 }
 
 fn price(commands: &[Command], queue: &CommandQueue) -> Result<Vec<Event>> {
@@ -560,9 +561,9 @@ pub const REFERENCE_DEVICE: &str = "i7-6700K";
 
 /// The recorded run of `benchmark × size × seed` for readers that want
 /// its profiles and sizes, not a measurement: from the log if any group
-/// has recorded it (a verified run serves), else recorded now on the
-/// [`REFERENCE_DEVICE`] — set up for real, then two iterations in replay
-/// mode, so no kernel body runs.
+/// has recorded it (a verified run serves), else [`record`]ed now,
+/// model-only, on the [`REFERENCE_DEVICE`] — set up for real, then two
+/// iterations in replay mode, so no kernel body runs.
 pub fn model_only_run(
     benchmark: &dyn Benchmark,
     size: ProblemSize,
@@ -571,33 +572,15 @@ pub fn model_only_run(
     let device = Platform::simulated()
         .device_by_name(REFERENCE_DEVICE)
         .expect("reference device is in the catalog");
-    let mut source = Source::acquire(
-        RunLog::global(),
-        benchmark,
-        size,
-        seed,
-        false,
-        &device,
-        None,
-    )
-    .expect("no deadline to pass");
-    if let Backing::Log(run) = &source.backing {
-        return Ok(Arc::clone(run));
-    }
-    let ctx = source.context(device);
-    let queue = CommandQueue::new(&ctx).with_profiling();
-    source.setup(&queue).map_err(|e| e.to_string())?;
-    queue.set_replay(true);
-    for _ in 0..2 {
-        source.run_iteration(&queue).map_err(|e| e.to_string())?;
-    }
-    match source.backing {
-        Backing::Log(run) => Ok(run),
-        Backing::Live { .. } => Err(format!(
-            "{} {} cannot be recorded: an iteration enqueued nothing, or returned other events than it enqueued",
-            benchmark.name(),
-            size.label()
-        )),
+    let key = RunKey::new(benchmark.name(), size, seed, false, &device);
+    match RunLog::global()
+        .acquire(key, None)
+        .expect("no deadline to pass")
+    {
+        Acquired::Hit(run) => Ok(run),
+        Acquired::Lead(lead) => lead
+            .record(benchmark.workload(size, seed), &device, None)
+            .map_err(|e| format!("{} {}: {e}", benchmark.name(), size.label())),
     }
 }
 

@@ -765,14 +765,16 @@ struct Analyses {
 /// digest standing in for identity would hand a colliding workload another
 /// workload's histogram.
 ///
-/// `analyses` is bounded by [`HISTOGRAM_BUDGET_BYTES`], oldest evicted
-/// first; `counts` values are 96 bytes and are kept, so an evicted profile
+/// `analyses` is bounded by a byte budget ([`HISTOGRAM_BUDGET_BYTES`]
+/// unless built [`HistogramCache::with_budget`]), oldest evicted first; `counts` values are 96 bytes and are kept, so an evicted profile
 /// is re-analysed only when a *new* shape asks about it.
 ///
 /// Hit/miss counters are telemetry [`Counter`]s so the sweep paths (and
 /// the memo-cache tests) can observe reuse directly.
 pub struct HistogramCache {
     analyses: Mutex<Analyses>,
+    /// Histogram bytes `analyses` may hold.
+    budget: usize,
     counts: Mutex<HashMap<CountsKey, TwoPassCounts>>,
     registry: Registry,
     /// Analysis lookups answered by an analysis another call produced.
@@ -786,8 +788,14 @@ pub struct HistogramCache {
 }
 
 impl HistogramCache {
-    /// An empty cache with zeroed counters.
+    /// An empty cache with zeroed counters and the
+    /// [`HISTOGRAM_BUDGET_BYTES`] budget.
     pub fn new() -> Self {
+        Self::with_budget(HISTOGRAM_BUDGET_BYTES)
+    }
+
+    /// An empty cache holding at most `budget` bytes of histograms.
+    pub fn with_budget(budget: usize) -> Self {
         let registry = Registry::new();
         let bytes = registry.gauge(
             "eod_devsim_histogram_cache_bytes",
@@ -799,6 +807,7 @@ impl HistogramCache {
         );
         Self {
             analyses: Mutex::default(),
+            budget,
             counts: Mutex::default(),
             registry,
             hits: Counter::new(),
@@ -867,7 +876,7 @@ impl HistogramCache {
         // A `clear` or an eviction may have dropped the cell meanwhile.
         if a.cells.get(&key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
             a.bytes += analysis.histogram_bytes();
-            while a.bytes > HISTOGRAM_BUDGET_BYTES {
+            while a.bytes > self.budget {
                 let oldest = a.order.pop_front().expect("bytes held imply a key");
                 let evicted = a.cells.remove(&oldest).expect("ordered keys are cached");
                 a.bytes -= evicted.get().map_or(0, |e| e.histogram_bytes());

@@ -13,7 +13,7 @@ use eod_devsim::profile::AccessPattern;
 use eod_devsim::stackdist::{
     analyze_trace, derive_counts, two_pass_counts, two_pass_counts_traced, CacheEngine,
     CountsSource, HierarchyShape, HistogramCache, TracePass, TwoPassCounts, ANALYTIC_MIN_LINES,
-    DEFAULT_TRACE_CAP, HISTOGRAM_BUDGET_BYTES,
+    DEFAULT_TRACE_CAP,
 };
 use std::sync::Barrier;
 
@@ -341,16 +341,18 @@ fn memoized_counts_equal_fresh_computation_bit_for_bit() {
 fn analyses_are_evicted_oldest_first_and_counts_survive() {
     let i7 = HierarchyShape::for_spec(DeviceId::by_name("i7-6700K").unwrap().spec());
     let gtx = HierarchyShape::for_spec(DeviceId::by_name("GTX 1080").unwrap().spec());
-    let cache = HistogramCache::new();
-    // Forty distinct >= 64 MiB working sets: the worst-case analysis
-    // (~16.7 MiB of histogram entries each), 2.6x the budget in all.
-    let working_sets: Vec<u64> = (0..40).map(|i| (64 << 20) + i * 64).collect();
+    // A 4 MiB budget and forty distinct >= 1 MiB irregular working sets
+    // (~267 KiB of histogram entries each): 2.6x the budget in all, the
+    // ratio the default budget meets with 64 MiB ones.
+    let budget = 4 << 20;
+    let cache = HistogramCache::with_budget(budget);
+    let working_sets: Vec<u64> = (0..40).map(|i| (1 << 20) + i * 64).collect();
     let first: Vec<TwoPassCounts> = working_sets
         .iter()
         .map(|&ws| {
             let (counts, source) = query(AccessPattern::Random, ws, &i7, &cache);
             assert_eq!(source, CountsSource::Computed);
-            assert!(cache.bytes.get() <= HISTOGRAM_BUDGET_BYTES as f64);
+            assert!(cache.bytes.get() <= budget as f64);
             counts
         })
         .collect();
@@ -378,5 +380,5 @@ fn analyses_are_evicted_oldest_first_and_counts_survive() {
     let (_, source) = query(AccessPattern::Random, working_sets[0], &gtx, &cache);
     assert_eq!(source, CountsSource::Computed);
     assert_eq!(cache.misses.get(), 41.0);
-    assert!(cache.bytes.get() <= HISTOGRAM_BUDGET_BYTES as f64);
+    assert!(cache.bytes.get() <= budget as f64);
 }

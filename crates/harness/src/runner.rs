@@ -12,22 +12,22 @@
 //!    two instrumented devices.
 //!
 //! [`Runner`] reproduces this. On simulated devices the loop floor is
-//! interpreted in *modeled device time* (that is the clock being sampled),
-//! and after the first iteration of a group has been executed for real and
-//! verified against the serial reference, the remaining iterations run in
-//! replay mode — identical modeled timing, no redundant recomputation.
-//! That one real execution is also shared across devices: nothing a
-//! simulated group executes depends on its device, so the first group to
-//! run a (benchmark, size, seed) records what it asked of its queue, and
-//! every later group with that key on any device is the record priced on
-//! its own queue ([`eod_core::recorded`]) — same clock advances, same
-//! noise draws, no workload constructed. The full figure set regenerates
-//! in seconds. `RunnerConfig::paper()` keeps the paper's exact constants;
+//! interpreted in *modeled device time* (that is the clock being sampled).
+//! A simulated group never executes on its own queue: nothing it executes
+//! depends on its device, so the first group to ask for a (benchmark,
+//! size, seed) records the workload once — set-up, the first iteration
+//! executed for real and verified against the serial reference, one
+//! steady-state iteration in replay mode ([`eod_core::recorded::record`])
+//! — and that group, like every later one with that key on any device,
+//! prices the recording on its own queue: same clock advances, same noise
+//! draws, no workload constructed. The native device executes and times
+//! every iteration. The full figure set regenerates in seconds.
+//! `RunnerConfig::paper()` keeps the paper's exact constants;
 //! `RunnerConfig::quick()` scales the floor down for tests.
 
 use eod_clrt::prelude::*;
 use eod_core::benchmark::Benchmark;
-use eod_core::recorded::{RunLog, Source};
+use eod_core::recorded::{Acquired, RecordError, RunKey, RunLog, Source};
 use eod_core::sizes::ProblemSize;
 use eod_core::spec::ExecConfig;
 use eod_devsim::catalog::DeviceId;
@@ -97,11 +97,12 @@ pub struct RunnerConfig {
     /// Verify the first executed iteration against the serial reference.
     pub verify: bool,
     /// Execute the first iteration for real (required for verification).
-    /// Setting this to `false` on a simulated device skips functional
-    /// execution entirely and measures the model only — used for groups
-    /// whose single real iteration is prohibitively slow on the host
-    /// (gem's nucleosome/1KX5 molecules); their kernels are verified at the
-    /// smaller scales of the same benchmark. Ignored on the native backend.
+    /// Setting this to `false` on a simulated device records the run in
+    /// replay mode, so no kernel body runs, and measures the model only —
+    /// used for groups whose single real iteration is prohibitively slow
+    /// on the host (gem's nucleosome/1KX5 molecules); their kernels are
+    /// verified at the smaller scales of the same benchmark. Ignored on
+    /// the native backend.
     pub real_execution: bool,
     /// Measure modeled energy on *every* simulated device, not only the two
     /// the paper instruments. Off by default (fidelity to §5.2); the
@@ -307,13 +308,13 @@ impl Runner {
     /// service cache results and still return exactly what a direct
     /// single-group run produces.
     ///
-    /// On a simulated device the group executes only if no group sharing
-    /// this runner's run log has executed the same (benchmark, size,
-    /// seed); otherwise it prices that group's
-    /// recorded run on `device` — every modeled field is bit-identical to
-    /// a live run's, `setup_ms` is the set-up time the recording measured,
-    /// and a recording still in flight is waited for within this group's
-    /// own [`RunnerConfig::timeout`]. The native device always executes.
+    /// On a simulated device the group records its workload only if no
+    /// group sharing this runner's run log has recorded the same
+    /// (benchmark, size, seed) — inside a `record` host span — and then
+    /// prices the recorded run on `device`, as every other group with that
+    /// key does: `setup_ms` is the set-up time the recording measured, and
+    /// a recording still in flight is waited for within this group's own
+    /// [`RunnerConfig::timeout`]. The native device always executes.
     pub fn run_group(
         &self,
         benchmark: &dyn Benchmark,
@@ -342,28 +343,53 @@ impl Runner {
             g.arg("device", device.name());
             g
         });
-        // What the phases below iterate: the live workload, or — when some
-        // group has already executed this (benchmark, size, seed) — its
-        // recorded run, priced on this device's queue. A recording in
-        // flight is waited for, within this group's own budget.
+        // What the phases below iterate: on a simulated device the recorded
+        // run of this (benchmark, size, seed), priced on this device's
+        // queue — from the log, or recorded now by this group. A recording
+        // in flight is waited for, within this group's own budget.
         let model_only = !self.config.real_execution && !device.is_native();
         let verify = self.config.verify && !model_only;
-        let Some(mut source) = Source::acquire(
-            self.log,
-            benchmark,
-            size,
-            self.config.seed,
-            verify,
-            &device,
-            deadline.map(|(at, _)| at),
-        ) else {
-            let (_, limit) = deadline.expect("only a passed deadline ends the wait");
-            return Err(RunnerError::TimedOut { limit });
+        let at = deadline.map(|(at, _)| at);
+        let timed_out = || RunnerError::TimedOut {
+            limit: deadline.expect("only a deadline times a group out").1,
         };
-        if let Some(g) = group_span.as_mut() {
-            g.arg("log", source.origin());
-        }
-        let ctx = source.context(device.clone());
+        let unverified = |e: String| {
+            RunnerError::VerificationFailed(format!(
+                "{} {} on {}: {e}",
+                benchmark.name(),
+                size.label(),
+                device.name()
+            ))
+        };
+        let mut log_arg = |origin: &str| {
+            if let Some(g) = group_span.as_mut() {
+                g.arg("log", origin);
+            }
+        };
+        let mut source = if device.is_native() {
+            log_arg("live");
+            Source::live(benchmark.workload(size, self.config.seed))
+        } else {
+            let key = RunKey::new(benchmark.name(), size, self.config.seed, verify, &device);
+            let run = match self.log.acquire(key, at).ok_or_else(timed_out)? {
+                Acquired::Hit(run) => {
+                    log_arg("hit");
+                    run
+                }
+                Acquired::Lead(lead) => {
+                    log_arg("recorded");
+                    let _g = trace.map(|s| s.host_span("record"));
+                    let workload = benchmark.workload(size, self.config.seed);
+                    lead.record(workload, &device, at).map_err(|e| match e {
+                        RecordError::TimedOut => timed_out(),
+                        RecordError::Unverified(e) => unverified(e),
+                        RecordError::Failed(e) => RunnerError::Infra(e),
+                    })?
+                }
+            };
+            Source::priced(run)
+        };
+        let ctx = Context::new(device.clone());
         let queue = CommandQueue::new(&ctx).with_profiling();
         if let Some(sink) = &self.trace {
             queue.set_trace(Some(Arc::clone(sink)));
@@ -393,11 +419,7 @@ impl Runner {
             regions.record(Region::MemoryTransfer, e.duration());
         }
 
-        // First iteration: executed for real (unless this group is marked
-        // model-only on a simulated device); optionally verified.
-        if model_only {
-            queue.set_replay(true);
-        }
+        // First iteration; optionally verified.
         let first = {
             let _g = trace.map(|s| s.host_span("first_iteration"));
             source
@@ -416,18 +438,10 @@ impl Runner {
         }
         if verify {
             let _g = trace.map(|s| s.host_span("verify"));
-            source.verify(&queue).map_err(|e| {
-                RunnerError::VerificationFailed(format!(
-                    "{} {} on {}: {e}",
-                    benchmark.name(),
-                    size.label(),
-                    device.name()
-                ))
-            })?;
+            source.verify(&queue).map_err(unverified)?;
         }
 
-        // Timing loop in replay mode (no-op on the native backend).
-        queue.set_replay(true);
+        // Timing loop.
         let power_model = match device.timing() {
             Timing::Modeled(sim)
                 if self.config.energy_all_devices
@@ -497,7 +511,6 @@ impl Runner {
                 },
             );
         }
-        queue.set_replay(false);
         if let Some(g) = group_span.as_mut() {
             g.arg("samples", kernel_ms.len());
         }

@@ -88,7 +88,7 @@ pub fn table3() -> String {
     let sel = DeviceSelector {
         platform: 1,
         device: 0,
-        type_id: 0,
+        type_id: Some(0),
     };
     let _ = writeln!(
         out,

@@ -19,6 +19,7 @@ use eod_clrt::prelude::*;
 // An explicit import outranks the glob: restore the two-parameter Result.
 use eod_core::args::{parse_arguments, DeviceSelector, ParsedArgs};
 use eod_core::fleet::WorkerCapabilities;
+use eod_core::recorded::{model_only_run, record, Source};
 use eod_core::sizes::ProblemSize;
 use eod_core::spec::{JobSpec, Priority};
 use eod_dwarfs::registry;
@@ -290,7 +291,7 @@ fn cmd_run(cli: &Cli) -> Result<(), String> {
         rest.push(a.clone());
     }
     // The size is the first remaining word unless that is already the
-    // Table 3-style device selector (`-p P -d D -t T`).
+    // Table 3-style device selector (`-p P -d D [-t T]`).
     let (size_label, selector) = match rest.split_first() {
         Some((first, tail)) if !first.starts_with('-') => (Some(first), tail),
         _ => (None, &rest[..]),
@@ -314,16 +315,25 @@ fn cmd_run(cli: &Cli) -> Result<(), String> {
         runner = runner.with_trace(Arc::clone(sink));
     }
     let g = if let Some(args) = custom_args {
-        // Run the custom workload through a one-off Table-3 configuration.
+        // Run the custom workload through a one-off Table-3 configuration:
+        // recorded, then priced on a simulated device; live on native.
+        let w = workload_from_args(benchmark, &args, cli.config.seed)?;
+        let mut source = if device.is_native() {
+            Source::live(w)
+        } else {
+            Source::priced(Arc::new(
+                record(w, &device, true, None).map_err(|e| e.to_string())?,
+            ))
+        };
         let ctx = Context::new(device.clone());
         let queue = CommandQueue::new(&ctx).with_profiling();
         if let Some(sink) = &trace {
             queue.set_trace(Some(Arc::clone(sink)));
         }
-        let mut w = workload_from_args(benchmark, &args, cli.config.seed)?;
-        w.setup(&ctx, &queue).map_err(|e| e.to_string())?;
-        let out = w.run_iteration(&queue).map_err(|e| e.to_string())?;
-        w.verify(&queue)
+        source.setup(&queue).map_err(|e| e.to_string())?;
+        let out = source.run_iteration(&queue).map_err(|e| e.to_string())?;
+        source
+            .verify(&queue)
             .map_err(|e| format!("verification failed: {e}"))?;
         println!(
             "{benchmark} --args {args:?} on {}: verified, {} kernel launches, {:.4} ms kernel time",
@@ -404,27 +414,18 @@ fn cmd_cov(cli: &Cli) -> Result<(), String> {
 }
 
 fn cmd_aiwc(cli: &Cli) -> Result<(), String> {
-    // Characterize every benchmark's kernels from the profiles their
-    // events carry — the paper's deferred AIWC analysis.
+    // Characterize every benchmark's kernels from the profiles of its
+    // recorded tiny run — the paper's deferred AIWC analysis.
     use eod_dwarfs::aiwc;
-    let device = Platform::simulated()
-        .device_by_name("i7-6700K")
-        .expect("catalog device");
     let mut rows = Vec::new();
     for bench in registry::all_benchmarks() {
-        let ctx = Context::new(device.clone());
-        let queue = CommandQueue::new(&ctx).with_profiling();
-        let mut w = bench.workload(ProblemSize::Tiny, cli.config.seed);
-        w.setup(&ctx, &queue).map_err(|e| e.to_string())?;
-        let out = w.run_iteration(&queue).map_err(|e| e.to_string())?;
-        // One fused profile per benchmark: chain all kernels of the
-        // iteration, deduplicated by kernel name for the table.
+        let run = model_only_run(bench.as_ref(), ProblemSize::Tiny, cli.config.seed)?;
+        // One row per kernel of the first iteration, deduplicated by
+        // kernel name for the table.
         let mut seen = std::collections::BTreeSet::new();
-        for ev in &out.events {
-            if let Some(p) = &ev.profile {
-                if seen.insert(p.name.clone()) {
-                    rows.push(aiwc::characterize(p));
-                }
+        for p in run.profiles() {
+            if seen.insert(p.name.clone()) {
+                rows.push(aiwc::characterize(p));
             }
         }
     }
@@ -445,16 +446,12 @@ fn cmd_ideal(cli: &Cli) -> Result<(), String> {
         let id = device.sim_id().expect("simulated");
         let model = DeviceModel::new(id);
         for bench in registry::all_benchmarks() {
-            let ctx = Context::new(device.clone());
-            let queue = CommandQueue::new(&ctx).with_profiling();
-            let mut w = bench.workload(ProblemSize::Tiny, cli.config.seed);
-            w.setup(&ctx, &queue).map_err(|e| e.to_string())?;
-            let out = w.run_iteration(&queue).map_err(|e| e.to_string())?;
-            let Some(profile) = out.events.iter().find_map(|e| e.profile.clone()) else {
+            let run = model_only_run(bench.as_ref(), ProblemSize::Tiny, cli.config.seed)?;
+            let Some(profile) = run.profiles().next() else {
                 continue;
             };
-            let ideal = roofline::ideal_time(id.spec(), &profile);
-            let cost = model.predict(&profile);
+            let ideal = roofline::ideal_time(id.spec(), profile);
+            let cost = model.predict(profile);
             println!(
                 "| {} | {} | {} | {:.5} | {:.5} | {:.1} % |",
                 profile.name,
@@ -466,7 +463,7 @@ fn cmd_ideal(cli: &Cli) -> Result<(), String> {
                 },
                 ideal.ideal_s * 1e3,
                 cost.total_s * 1e3,
-                roofline::attained_fraction(id.spec(), &profile, cost.total_s) * 100.0
+                roofline::attained_fraction(id.spec(), profile, cost.total_s) * 100.0
             );
         }
     }
@@ -1960,7 +1957,7 @@ fn run() -> Result<(), String> {
                 "usage: eod <command> [--paper|--quick] [--samples N] [--seed S] [--loop-ms M] [--out DIR] [--trace-out FILE]\n\
                  commands: list table1 table2 table3 sizing power\n\
                  \u{20}         fig1 fig2a..fig2e fig3a fig3b fig4 fig5 figures\n\
-                 \u{20}         run <benchmark> <size> [-p P -d D -t T] [--trace-out trace.json]\n\
+                 \u{20}         run <benchmark> <size> [-p P -d D [-t T]] [--trace-out trace.json]\n\
                  \u{20}         cov cachesim cachesweep <benchmark> <size> aiwc ideal ablation autotune schedule\n\
                  \u{20}         sweep --family stream|gups|latency|roofline [--footprint 8KiB..64MiB] [--points 24]\n\
                  \u{20}               [--log|--linear] [--device D] [--stride S] [--fpe F] [--check-cliffs]\n\

@@ -270,7 +270,7 @@ pub fn run_log_text(stats: &RunLogStats) -> String {
     .mirror(stats.hits as f64);
     r.counter(
         "eod_run_log_misses_total",
-        "Simulated groups that executed live and recorded their run.",
+        "Simulated groups that found no run and recorded it.",
     )
     .mirror(stats.misses as f64);
     r.render()

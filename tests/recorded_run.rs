@@ -8,7 +8,7 @@
 use eod_clrt::prelude::*;
 use eod_core::benchmark::{Benchmark, Workload};
 use eod_core::dwarf::Dwarf;
-use eod_core::recorded::RunLog;
+use eod_core::recorded::{record, RunLog};
 use eod_core::sizes::ProblemSize;
 use eod_dwarfs::registry;
 use eod_harness::{GroupResult, Runner, RunnerConfig, RunnerError};
@@ -153,8 +153,12 @@ fn a_priced_group_equals_the_group_that_recorded_it() {
             assert_eq!(recorded.log, "recorded", "{what}");
             let priced = traced_group(&config, bench.as_ref(), device(name));
             assert_eq!(priced.log, "hit", "{what}");
-            // The phase spans surround priced phases exactly as live ones.
-            assert_eq!(recorded.spans, priced.spans, "{what}");
+            // The leader prices its run exactly as a hit does, after one
+            // `record` span.
+            let mut leader = recorded.spans.clone();
+            let at = leader.iter().position(|s| s == "record");
+            leader.remove(at.unwrap_or_else(|| panic!("{what}: no record span")));
+            assert_eq!(leader, priced.spans, "{what}");
             for phase in ["setup", "first_iteration", "verify", "sample 0"] {
                 assert!(priced.spans.iter().any(|s| s == phase), "{what}: {phase}");
             }
@@ -274,7 +278,7 @@ fn a_timed_out_recording_stores_nothing() {
 }
 
 #[test]
-fn a_group_priced_from_another_device_equals_it_executed_live() {
+fn a_group_priced_from_another_device_equals_one_recorded_on_it() {
     let bench = Counting::new("srad");
     let mut config = RunnerConfig::smoke();
     config.seed = 0x5EED_0400;
@@ -285,21 +289,48 @@ fn a_group_priced_from_another_device_equals_it_executed_live() {
     );
     let priced = traced_group(&config, &bench, device("Xeon Phi 7210"));
     assert_eq!(priced.log, "hit");
-    // The reference: the same group executed live on the Xeon Phi, which
+    // The reference: the same group recorded on the Xeon Phi itself, which
     // a fresh run log makes it do.
     let fresh: &'static RunLog = Box::leak(Box::new(RunLog::with_budget(1 << 20)));
-    let live = traced_group_in(
+    let own = traced_group_in(
         Runner::new(config.clone()).with_run_log(fresh),
         &bench,
         device("Xeon Phi 7210"),
     );
-    assert_eq!(live.log, "recorded");
+    assert_eq!(own.log, "recorded");
     assert_eq!(bench.built(), 2, "executed once per log");
     assert_same_measurement(
         &priced.result.unwrap(),
-        &live.result.unwrap(),
+        &own.result.unwrap(),
         "srad tiny on Xeon Phi",
     );
+}
+
+#[test]
+fn a_model_only_tape_equals_a_verified_tape() {
+    // What gem medium/large and the predictor rest on: a run recorded
+    // without executing its first iteration asks the same of a device as
+    // one that executed and verified it.
+    let registry_small = registry::all_benchmarks()
+        .into_iter()
+        .map(|bench| (bench, ProblemSize::Small));
+    let cases = every_benchmark()
+        .into_iter()
+        .map(|bench| (bench, ProblemSize::Tiny))
+        .chain(registry_small);
+    for (bench, size) in cases {
+        let tape = |verified: bool| {
+            let workload = bench.workload(size, 0x5EED_0800);
+            record(workload, &device("GTX 1080"), verified, None).unwrap()
+        };
+        let (verified, model_only) = (tape(true), tape(false));
+        let what = format!("{} {}", bench.name(), size.label());
+        assert!(verified.verified && !model_only.verified, "{what}");
+        assert!(model_only.verify.is_empty(), "{what}");
+        assert_eq!(verified.setup, model_only.setup, "{what}: setup");
+        assert_eq!(verified.first, model_only.first, "{what}: first");
+        assert_eq!(verified.replay, model_only.replay, "{what}: replay");
+    }
 }
 
 #[test]

@@ -108,27 +108,6 @@ fn kernel_time_excludes_transfers() {
 }
 
 #[test]
-fn replay_timing_equals_real_timing_distribution() {
-    // The replay optimization must not change the modeled time stream:
-    // with the same seed, kernel events carry the same durations whether
-    // or not the kernel actually executes.
-    let bench = registry::benchmark_by_name("srad").unwrap();
-    let run = |replay: bool| -> Vec<f64> {
-        let device =
-            Device::simulated_seeded(eod_devsim::catalog::DeviceId::by_name("K40m").unwrap(), 123);
-        let ctx = Context::new(device);
-        let queue = CommandQueue::new(&ctx).with_profiling();
-        let mut w = bench.workload(ProblemSize::Tiny, 9);
-        w.setup(&ctx, &queue).unwrap();
-        queue.set_replay(replay);
-        (0..5)
-            .map(|_| w.run_iteration(&queue).unwrap().kernel_time().as_secs_f64())
-            .collect()
-    };
-    assert_eq!(run(false), run(true));
-}
-
-#[test]
 fn oversized_problem_exhausts_small_gpu_memory() {
     // nw `large` needs ~128 MiB of F + reference… fits everywhere; but a
     // deliberately huge allocation must hit the HD 7970's 3 GiB ceiling
